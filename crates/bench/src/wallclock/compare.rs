@@ -173,6 +173,8 @@ mod tests {
             median_ns_per_iter: median,
             mad_ns_per_iter: mad,
             bytes_per_iter: 0,
+            plan_bytes: 0,
+            stream_bytes: 0,
         }
     }
 

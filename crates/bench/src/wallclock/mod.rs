@@ -77,6 +77,8 @@ mod tests {
                 median_ns_per_iter: 1500.0,
                 mad_ns_per_iter: 10.0,
                 bytes_per_iter: 3000,
+                plan_bytes: 0,
+                stream_bytes: 0,
             }],
         };
         let table = render_table(&report);

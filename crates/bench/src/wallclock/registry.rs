@@ -13,7 +13,8 @@
 use super::report::BenchResult;
 use super::runner::{measure, Profile};
 use chason_baselines::parallel::{spmv_dynamic, spmv_static};
-use chason_core::plan::matrix_fingerprint;
+use chason_core::plan::{matrix_fingerprint, SpmvPlan};
+use chason_core::schedule::NzSlot;
 use chason_net::server::{FrameOutcome, NetConfig, NetServer, Service};
 use chason_serve::proto::{
     decode_reply, decode_request, encode_reply, encode_request, Engine, Reply, Request,
@@ -37,6 +38,10 @@ pub struct Benchmark {
     pub fingerprint: u64,
     /// Nominal bytes moved per iteration (0 = throughput not meaningful).
     pub bytes_per_iter: u64,
+    /// Heap bytes of the replayed plan's schedule grids (0 = no plan).
+    pub plan_bytes: u64,
+    /// Heap bytes of the replayed plan's lowered streams.
+    pub stream_bytes: u64,
     /// The timed routine.
     pub routine: Box<dyn FnMut()>,
 }
@@ -62,6 +67,24 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
     hash
+}
+
+/// Heap bytes of a plan's schedule grids and of its lowered replay
+/// streams.
+fn plan_footprint(plan: &SpmvPlan) -> (u64, u64) {
+    let windows = || plan.passes.iter().flat_map(|p| &p.windows);
+    let grids: usize = windows()
+        .flat_map(|w| &w.schedule.channels)
+        .map(|ch| {
+            ch.grid.capacity() * size_of::<Vec<Option<NzSlot>>>()
+                + ch.grid
+                    .iter()
+                    .map(|cycle| cycle.capacity() * size_of::<Option<NzSlot>>())
+                    .sum::<usize>()
+        })
+        .sum();
+    let streams: usize = windows().map(|w| w.stream.bytes()).sum();
+    (grids as u64, streams as u64)
 }
 
 /// The matrix the SpMV-kernel group runs on.
@@ -123,6 +146,8 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
                 id,
                 fingerprint,
                 bytes_per_iter: bytes,
+                plan_bytes: 0,
+                stream_bytes: 0,
                 routine: Box::new(move || {
                     let y = if is_static {
                         spmv_static(&csr, &x, threads)
@@ -153,6 +178,8 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
                 id: id.to_string(),
                 fingerprint,
                 bytes_per_iter: 0,
+                plan_bytes: 0,
+                stream_bytes: 0,
                 routine: Box::new(move || {
                     if is_chason {
                         let engine = ChasonEngine::default();
@@ -177,6 +204,7 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
         let engine = ChasonEngine::default();
         #[allow(clippy::expect_used)] // bench corpus fits the engines
         let plan = engine.plan_with_threads(&matrix, 1).expect("plan");
+        let (plan_bytes, stream_bytes) = plan_footprint(&plan);
         let x: Vec<f32> = (0..matrix.cols())
             .map(|i| (i as f32 * 0.29).sin())
             .collect();
@@ -184,6 +212,8 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
             id: replay_id.to_string(),
             fingerprint,
             bytes_per_iter: bytes,
+            plan_bytes,
+            stream_bytes,
             routine: Box::new(move || {
                 #[allow(clippy::expect_used)] // plan was built from this same matrix
                 black_box(engine.run_planned(&plan, &x).expect("replay"));
@@ -225,6 +255,8 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
                 id: replan_ids[0].to_string(),
                 fingerprint,
                 bytes_per_iter: 0,
+                plan_bytes: 0,
+                stream_bytes: 0,
                 routine: Box::new(move || {
                     #[allow(clippy::expect_used)] // bench corpus fits the engines
                     black_box(engine.plan_with_threads(&updated, 1).expect("plan"));
@@ -239,6 +271,8 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
                 id: replan_ids[1].to_string(),
                 fingerprint,
                 bytes_per_iter: 0,
+                plan_bytes: 0,
+                stream_bytes: 0,
                 routine: Box::new(move || {
                     // The clone mirrors a serving cache splicing a copy of
                     // the resident plan; it is part of the splice cost.
@@ -271,6 +305,8 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
                 id: chsp_ids[0].to_string(),
                 fingerprint,
                 bytes_per_iter: bytes,
+                plan_bytes: 0,
+                stream_bytes: 0,
                 routine: Box::new(move || {
                     let wire = encode_request(&request);
                     #[allow(clippy::expect_used)] // decoding our own encoder's output
@@ -291,6 +327,8 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
                 id: chsp_ids[1].to_string(),
                 fingerprint,
                 bytes_per_iter: bytes,
+                plan_bytes: 0,
+                stream_bytes: 0,
                 routine: Box::new(move || {
                     let wire = encode_reply(&reply);
                     #[allow(clippy::expect_used)] // decoding our own encoder's output
@@ -342,6 +380,8 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
                 fingerprint,
                 // Each round trip moves the frame both ways.
                 bytes_per_iter: (depth * (payload.len() + 4) * 2) as u64,
+                plan_bytes: 0,
+                stream_bytes: 0,
                 routine: Box::new(move || {
                     // The server lives as long as the routine: the closure
                     // owns it, so the loop thread dies with the bench.
@@ -383,6 +423,8 @@ pub fn run_all(profile: &Profile, filter: Option<&str>) -> Vec<BenchResult> {
                 median_ns_per_iter: m.median_ns_per_iter,
                 mad_ns_per_iter: m.mad_ns_per_iter,
                 bytes_per_iter: bench.bytes_per_iter,
+                plan_bytes: bench.plan_bytes,
+                stream_bytes: bench.stream_bytes,
             }
         })
         .collect()

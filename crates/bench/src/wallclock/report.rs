@@ -57,6 +57,12 @@ pub struct BenchResult {
     /// Bytes moved per iteration; `0` when throughput is not meaningful
     /// for this benchmark (e.g. planning).
     pub bytes_per_iter: u64,
+    /// Heap bytes of the schedule grids of the plan a replay benchmark
+    /// executes; `0` for every other benchmark. Both footprint fields are
+    /// omitted from the JSON when both are zero.
+    pub plan_bytes: u64,
+    /// Heap bytes of that plan's lowered replay streams.
+    pub stream_bytes: u64,
 }
 
 impl BenchResult {
@@ -130,6 +136,15 @@ impl BenchReport {
                 fmt_f64(r.mad_ns_per_iter),
                 r.bytes_per_iter
             ));
+            if r.plan_bytes > 0 || r.stream_bytes > 0 {
+                // Appended inside the object only for replay benchmarks, so
+                // reports without plans keep their exact v1 layout.
+                out.pop();
+                out.push_str(&format!(
+                    ",\"plan_bytes\":{},\"stream_bytes\":{}}}",
+                    r.plan_bytes, r.stream_bytes
+                ));
+            }
         }
         out.push_str("\n]}\n");
         out
@@ -350,6 +365,12 @@ impl<'a> Parser<'a> {
         let mad_ns_per_iter = self.parse_f64()?;
         self.expect_str(",\"bytes_per_iter\":")?;
         let bytes_per_iter = self.parse_u64()?;
+        let (mut plan_bytes, mut stream_bytes) = (0, 0);
+        if self.expect_str(",\"plan_bytes\":").is_ok() {
+            plan_bytes = self.parse_u64()?;
+            self.expect_str(",\"stream_bytes\":")?;
+            stream_bytes = self.parse_u64()?;
+        }
         self.expect_str("}")?;
         Ok(BenchResult {
             id,
@@ -360,6 +381,8 @@ impl<'a> Parser<'a> {
             median_ns_per_iter,
             mad_ns_per_iter,
             bytes_per_iter,
+            plan_bytes,
+            stream_bytes,
         })
     }
 }
@@ -388,6 +411,8 @@ mod tests {
                     median_ns_per_iter: 10_431.25,
                     mad_ns_per_iter: 12.5,
                     bytes_per_iter: 480_000,
+                    plan_bytes: 0,
+                    stream_bytes: 0,
                 },
                 BenchResult {
                     id: "plan/chason-t1".to_string(),
@@ -398,6 +423,20 @@ mod tests {
                     median_ns_per_iter: 2.25e6,
                     mad_ns_per_iter: 0.0,
                     bytes_per_iter: 0,
+                    plan_bytes: 0,
+                    stream_bytes: 0,
+                },
+                BenchResult {
+                    id: "replay/chason".to_string(),
+                    fingerprint: 9,
+                    warmup_iters: 2,
+                    samples: 10,
+                    iters_per_sample: 4,
+                    median_ns_per_iter: 31_000.5,
+                    mad_ns_per_iter: 40.0,
+                    bytes_per_iter: 720_000,
+                    plan_bytes: 9_000_000,
+                    stream_bytes: 1_100_000,
                 },
             ],
         }
@@ -408,6 +447,14 @@ mod tests {
         let report = sample_report();
         let json = report.to_json();
         assert_eq!(BenchReport::parse(&json).unwrap(), report);
+    }
+
+    #[test]
+    fn plan_footprints_appear_only_on_replay_results() {
+        let json = sample_report().to_json();
+        assert_eq!(json.matches("\"plan_bytes\"").count(), 1);
+        assert!(json
+            .contains("\"bytes_per_iter\":720000,\"plan_bytes\":9000000,\"stream_bytes\":1100000"));
     }
 
     #[test]

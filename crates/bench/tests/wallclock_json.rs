@@ -44,7 +44,7 @@ proptest! {
                 (1u64..1000, 1u64..1000, 1u64..100_000),   // warmup/samples/iters
                 (any::<u64>(), any::<u64>()),              // median parts
                 (any::<u64>(), any::<u64>()),              // mad parts
-                any::<u64>(),                              // bytes
+                (any::<u64>(), 0u64..3, any::<u64>()),     // bytes, plan footprint
             ),
             0..10,
         ),
@@ -68,7 +68,9 @@ proptest! {
                     iters_per_sample: counts.2,
                     median_ns_per_iter: finite_f64(med.0, med.1),
                     mad_ns_per_iter: finite_f64(mad.0, mad.1),
-                    bytes_per_iter: *bytes,
+                    bytes_per_iter: bytes.0,
+                    plan_bytes: bytes.1,
+                    stream_bytes: bytes.2,
                 })
                 .collect(),
         };

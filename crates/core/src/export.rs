@@ -514,14 +514,13 @@ pub fn read_plan<R: Read>(mut reader: R) -> Result<SpmvPlan, ExportError> {
             let w_nnz = read_u64(&mut reader)? as usize;
             let stalls = read_u64(&mut reader)? as usize;
             let stream_cycles = read_u64(&mut reader)? as usize;
-            windows.push(PlanWindow {
-                col_start,
-                col_end,
-                nnz: w_nnz,
-                stalls,
-                stream_cycles,
-                schedule: read_schedule_grid(&mut reader)?,
-            });
+            let window = PlanWindow::new(col_start, col_end, read_schedule_grid(&mut reader)?);
+            if (window.nnz, window.stalls, window.stream_cycles) != (w_nnz, stalls, stream_cycles) {
+                return Err(invalid(format!(
+                    "window {col_start}..{col_end} stores stats that disagree with its grid"
+                )));
+            }
+            windows.push(window);
         }
         passes.push(PassPlan {
             row_start,
@@ -618,8 +617,6 @@ mod tests {
         let m = power_law(96, 96, 500, 1.7, 8);
         let config = SchedulerConfig::toy(4, 4, 6);
         let schedule = Crhcs::new().schedule(&m, &config);
-        let stalls = schedule.stalls();
-        let stream_cycles = schedule.stream_cycles();
         SpmvPlan {
             key: PlanKey::new(&m, config),
             engine: "chason".to_string(),
@@ -631,14 +628,7 @@ mod tests {
                 row_start: 0,
                 row_end: 96,
                 nnz: 500,
-                windows: vec![PlanWindow {
-                    col_start: 0,
-                    col_end: 96,
-                    nnz: 500,
-                    stalls,
-                    stream_cycles,
-                    schedule,
-                }],
+                windows: vec![PlanWindow::new(0, 96, schedule)],
             }],
         }
     }
@@ -649,7 +639,18 @@ mod tests {
         let mut buf = Vec::new();
         write_plan(&mut buf, &plan).unwrap();
         let parsed = read_plan(buf.as_slice()).unwrap();
+        // Equality covers the replay streams, rebuilt from the grids.
         assert_eq!(parsed, plan);
+    }
+
+    #[test]
+    fn plan_with_stats_disagreeing_with_its_grid_is_rejected() {
+        let mut plan = sample_plan();
+        plan.passes[0].windows[0].stalls += 1;
+        let mut buf = Vec::new();
+        write_plan(&mut buf, &plan).unwrap();
+        let err = read_plan(buf.as_slice()).unwrap_err();
+        assert!(err.to_string().contains("disagree"), "{err}");
     }
 
     #[test]

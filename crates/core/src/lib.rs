@@ -46,6 +46,7 @@ pub mod plan;
 pub mod replan;
 pub mod schedule;
 pub mod shard;
+pub mod stream;
 pub mod viz;
 pub mod window;
 
@@ -59,3 +60,4 @@ pub use schedule::{
     SchedulerConfig,
 };
 pub use shard::ShardedPlan;
+pub use stream::{AccumulatorLayout, ReplayStream};

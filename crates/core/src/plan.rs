@@ -7,11 +7,14 @@
 //! full per-window [`ScheduledMatrix`] list (grouped into row-partition
 //! passes for matrices that exceed the partial-sum URAM capacity), the
 //! window partition bounds, per-window stats, and a cache key combining a
-//! fingerprint of the matrix with the scheduler configuration. Engines
-//! consume a plan with `run_planned`, which executes without rescheduling
-//! and reproduces the unplanned run bit for bit.
+//! fingerprint of the matrix with the scheduler configuration. Each window
+//! also carries its schedule lowered to a flat [`ReplayStream`], built once
+//! by [`PlanWindow::new`]. Engines consume a plan with `run_planned`, which
+//! replays the streams without rescheduling and reproduces the unplanned run
+//! bit for bit.
 
 use crate::schedule::{ScheduledMatrix, SchedulerConfig};
+use crate::stream::ReplayStream;
 use chason_sparse::CooMatrix;
 use serde::{Deserialize, Serialize};
 
@@ -74,8 +77,37 @@ pub struct PlanWindow {
     pub stalls: usize,
     /// Cycles the window occupies the stream (longest equalized channel).
     pub stream_cycles: usize,
-    /// The window's schedule, ready to execute.
+    /// The window's schedule.
     pub schedule: ScheduledMatrix,
+    /// The schedule lowered for replay. Derived from `schedule` by
+    /// [`PlanWindow::new`] and never serialized; whoever edits `schedule`
+    /// afterwards must rebuild the window.
+    #[serde(skip)]
+    pub stream: ReplayStream,
+}
+
+impl PlanWindow {
+    /// Packages the schedule of columns `col_start..col_end`, recording its
+    /// stats and lowering it to its replay stream.
+    pub fn new(col_start: usize, col_end: usize, schedule: ScheduledMatrix) -> Self {
+        let stream = ReplayStream::lower(&schedule, col_end.saturating_sub(col_start));
+        PlanWindow {
+            col_start,
+            col_end,
+            nnz: schedule.nnz,
+            stalls: schedule.stalls(),
+            stream_cycles: schedule.stream_cycles(),
+            schedule,
+            stream,
+        }
+    }
+
+    /// Whether `stream` is still the lowering of `schedule` — false once
+    /// the schedule was edited after the window was built.
+    pub fn stream_is_current(&self) -> bool {
+        self.stream
+            == ReplayStream::lower(&self.schedule, self.col_end.saturating_sub(self.col_start))
+    }
 }
 
 /// One row-partition pass of a plan (§4.5). Single-pass plans have one

@@ -259,15 +259,8 @@ impl SpmvPlan {
             let wmatrix = CooMatrix::from_triplets(wrows, wcols, triplets)
                 .expect("window triplets are in range by construction");
             let schedule = scheduler.schedule(&wmatrix, &self.key.config);
-            let spliced = PlanWindow {
-                col_start: window.col_start,
-                col_end: window.col_end,
-                nnz: wmatrix.nnz(),
-                stalls: schedule.stalls(),
-                stream_cycles: schedule.stream_cycles(),
-                schedule,
-            };
-            self.passes[pi].windows[wi] = spliced;
+            self.passes[pi].windows[wi] =
+                PlanWindow::new(window.col_start, window.col_end, schedule);
         }
         for pass in &mut self.passes {
             pass.nnz = pass.windows.iter().map(|w| w.nnz).sum();
@@ -305,14 +298,7 @@ mod tests {
                 .iter()
                 .map(|w| {
                     let schedule = scheduler.schedule(&w.matrix, &config);
-                    PlanWindow {
-                        col_start: w.col_start,
-                        col_end: w.col_end,
-                        nnz: w.matrix.nnz(),
-                        stalls: schedule.stalls(),
-                        stream_cycles: schedule.stream_cycles(),
-                        schedule,
-                    }
+                    PlanWindow::new(w.col_start, w.col_end, schedule)
                 })
                 .collect(),
         };

@@ -14,8 +14,6 @@ fn sample_plan_bytes() -> Vec<u8> {
     let m = power_law(64, 64, 300, 1.7, 5);
     let config = SchedulerConfig::toy(4, 4, 6);
     let schedule = Crhcs::new().schedule(&m, &config);
-    let stalls = schedule.stalls();
-    let stream_cycles = schedule.stream_cycles();
     let plan = SpmvPlan {
         key: PlanKey::new(&m, config),
         engine: "chason".to_string(),
@@ -27,14 +25,7 @@ fn sample_plan_bytes() -> Vec<u8> {
             row_start: 0,
             row_end: 64,
             nnz: 300,
-            windows: vec![PlanWindow {
-                col_start: 0,
-                col_end: 64,
-                nnz: 300,
-                stalls,
-                stream_cycles,
-                schedule,
-            }],
+            windows: vec![PlanWindow::new(0, 64, schedule)],
         }],
     };
     let mut buf = Vec::new();

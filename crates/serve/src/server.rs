@@ -101,14 +101,19 @@ impl Default for ServeConfig {
 }
 
 /// A resident matrix: the COO source of truth, a CSR mirror whose row
-/// storage is structurally shared across versions, and a version counter
-/// that `Update` bumps. The cache key (the load-time fingerprint) never
-/// changes; the version distinguishes delta generations.
+/// storage is structurally shared across versions, a version counter that
+/// `Update` bumps, and the content fingerprint of this version. The cache
+/// key (the load-time fingerprint) never changes; the version distinguishes
+/// delta generations.
 #[derive(Debug, Clone)]
 struct ResidentMatrix {
     matrix: Arc<CooMatrix>,
     csr: Arc<CowCsr>,
     version: u64,
+    /// `matrix_fingerprint(&matrix)`, computed once per version (at
+    /// `LoadMatrix` it equals the handle) so plan lookups never re-hash
+    /// the triplets.
+    fingerprint: u64,
 }
 
 /// State shared by every connection and worker thread.
@@ -162,22 +167,26 @@ impl Shared {
             .map(|r| r.version)
     }
 
-    /// Returns the cached plan for (`engine`, `matrix` at `version`),
-    /// scheduling and inserting it on a miss. Scheduling runs outside the
-    /// cache lock, so concurrent misses on the same key may schedule
-    /// twice; the loser's insert is a harmless replace.
+    /// Returns the cached plan for (`engine`, `resident` at its version),
+    /// keyed by the resident's stored fingerprint, scheduling and inserting
+    /// it on a miss. Scheduling runs outside the cache lock, so concurrent
+    /// misses on the same key may schedule twice; the loser's insert is a
+    /// harmless replace.
     fn resolve_plan<E: PlanningEngine>(
         &self,
         wire: Engine,
-        version: u64,
         planner: &E,
-        matrix: &CooMatrix,
+        resident: &ResidentMatrix,
     ) -> Result<Arc<SpmvPlan>, SimError> {
-        let key = (wire, version, planner.plan_key(matrix));
+        let key = (
+            wire,
+            resident.version,
+            planner.plan_key(resident.fingerprint),
+        );
         if let Some(plan) = lock_unpoisoned(&self.plans).get(&key) {
             return Ok(Arc::clone(plan));
         }
-        let plan = Arc::new(planner.plan(matrix)?);
+        let plan = Arc::new(planner.plan(&resident.matrix)?);
         lock_unpoisoned(&self.plans).insert(key, Arc::clone(&plan));
         Ok(plan)
     }
@@ -544,6 +553,7 @@ fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: &[(u64, u64, f3
                     matrix: Arc::new(matrix),
                     csr,
                     version: 0,
+                    fingerprint: handle,
                 },
             );
             (true, 0)
@@ -596,7 +606,7 @@ fn run_engine_spmv<E: PlanningEngine>(
     resident: &ResidentMatrix,
     x: &[f32],
 ) -> Result<(Vec<f32>, u64), SimError> {
-    let plan = shared.resolve_plan(wire, resident.version, planner, &resident.matrix)?;
+    let plan = shared.resolve_plan(wire, planner, resident)?;
     let exec = planner.run_planned(&plan, x)?;
     let nanos = (exec.latency_seconds() * 1e9) as u64;
     Ok((exec.y, nanos))
@@ -604,19 +614,23 @@ fn run_engine_spmv<E: PlanningEngine>(
 
 /// A solver backend that routes every product through the server's shared
 /// plan cache, so a solve warms the same cache later `Spmv` requests hit.
+///
+/// The solvers hand `spmv` the same matrix every iteration: the backend's
+/// resident, whose cached fingerprint keys every lookup.
 struct SharedPlanBackend<'a, E: PlanningEngine> {
     shared: &'a Shared,
     wire: Engine,
-    version: u64,
+    resident: &'a ResidentMatrix,
     planner: &'a E,
     elapsed: f64,
 }
 
 impl<E: PlanningEngine> SpmvBackend for SharedPlanBackend<'_, E> {
     fn spmv(&mut self, matrix: &CooMatrix, x: &[f32]) -> Result<Vec<f32>, SimError> {
+        debug_assert!(std::ptr::eq(matrix, &*self.resident.matrix));
         let plan = self
             .shared
-            .resolve_plan(self.wire, self.version, self.planner, matrix)?;
+            .resolve_plan(self.wire, self.planner, self.resident)?;
         let exec = self.planner.run_planned(&plan, x)?;
         self.elapsed += exec.latency_seconds();
         Ok(exec.y)
@@ -696,7 +710,7 @@ fn execute_solve(
             let mut backend = SharedPlanBackend {
                 shared,
                 wire: engine,
-                version: resident.version,
+                resident: &resident,
                 planner: &shared.chason,
                 elapsed: 0.0,
             };
@@ -707,7 +721,7 @@ fn execute_solve(
             let mut backend = SharedPlanBackend {
                 shared,
                 wire: engine,
-                version: resident.version,
+                resident: &resident,
                 planner: &shared.serpens,
                 elapsed: 0.0,
             };
@@ -734,12 +748,8 @@ fn execute_plan(shared: &Shared, handle: u64, engine: Engine) -> Reply {
     };
     let plan = match engine {
         Engine::Cpu => return bad_request("the cpu backend has no schedule plan"),
-        Engine::Chason => {
-            shared.resolve_plan(engine, resident.version, &shared.chason, &resident.matrix)
-        }
-        Engine::Serpens => {
-            shared.resolve_plan(engine, resident.version, &shared.serpens, &resident.matrix)
-        }
+        Engine::Chason => shared.resolve_plan(engine, &shared.chason, &resident),
+        Engine::Serpens => shared.resolve_plan(engine, &shared.serpens, &resident),
     };
     match plan {
         Ok(plan) => {
@@ -766,16 +776,24 @@ fn splice_plan<E: PlanningEngine>(
     wire: Engine,
     planner: &E,
     outgoing: &ResidentMatrix,
-    updated: &CooMatrix,
+    incoming: &ResidentMatrix,
     delta: &MatrixDelta,
 ) -> Option<(u64, u64)> {
-    let old_key = (wire, outgoing.version, planner.plan_key(&outgoing.matrix));
+    let old_key = (
+        wire,
+        outgoing.version,
+        planner.plan_key(outgoing.fingerprint),
+    );
     let plan = lock_unpoisoned(&shared.plans).remove(&old_key)?;
     let mut spliced = (*plan).clone();
-    match planner.replan_delta(&mut spliced, updated, delta) {
+    match planner.replan_delta(&mut spliced, &incoming.matrix, delta) {
         Ok(report) => {
             let windows_total = spliced.window_count() as u64;
-            let new_key = (wire, outgoing.version + 1, planner.plan_key(updated));
+            let new_key = (
+                wire,
+                incoming.version,
+                planner.plan_key(incoming.fingerprint),
+            );
             lock_unpoisoned(&shared.plans).insert(new_key, Arc::new(spliced));
             Some((report.windows_replanned as u64, windows_total))
         }
@@ -836,6 +854,12 @@ fn execute_update(
             }
         }
     };
+    let incoming = ResidentMatrix {
+        fingerprint: matrix_fingerprint(&updated),
+        matrix: Arc::new(updated),
+        csr: Arc::new(csr),
+        version: resident.version + 1,
+    };
     let mut plans_spliced: u32 = 0;
     let mut windows_replanned: u64 = 0;
     let mut windows_total: u64 = 0;
@@ -844,7 +868,7 @@ fn execute_update(
         Engine::Chason,
         &shared.chason,
         &resident,
-        &updated,
+        &incoming,
         &delta,
     );
     let serpens = splice_plan(
@@ -852,7 +876,7 @@ fn execute_update(
         Engine::Serpens,
         &shared.serpens,
         &resident,
-        &updated,
+        &incoming,
         &delta,
     );
     for (replanned, total) in [chason, serpens].into_iter().flatten() {
@@ -862,16 +886,9 @@ fn execute_update(
     }
     shared.stats.plans_spliced.add(u64::from(plans_spliced));
     shared.stats.replan_windows.add(windows_replanned);
-    let version = resident.version + 1;
-    let nnz = updated.nnz() as u64;
-    matrices.insert(
-        handle,
-        ResidentMatrix {
-            matrix: Arc::new(updated),
-            csr: Arc::new(csr),
-            version,
-        },
-    );
+    let version = incoming.version;
+    let nnz = incoming.matrix.nnz() as u64;
+    matrices.insert(handle, incoming);
     Reply::Updated {
         version,
         nnz,

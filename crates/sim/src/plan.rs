@@ -36,9 +36,13 @@ pub trait PlanningEngine {
     /// `ChasonEngine::run_planned`.
     fn run_planned(&self, plan: &SpmvPlan, x: &[f32]) -> Result<Execution, SimError>;
 
-    /// The cache key identifying `matrix` scheduled under this engine's
-    /// configuration.
-    fn plan_key(&self, matrix: &CooMatrix) -> PlanKey;
+    /// The cache key of a matrix whose [`matrix_fingerprint`] is
+    /// `fingerprint`, scheduled under this engine's configuration. Callers
+    /// that keep a matrix resident compute its fingerprint once and reuse
+    /// it, rather than re-hashing every triplet per lookup.
+    ///
+    /// [`matrix_fingerprint`]: chason_core::plan::matrix_fingerprint
+    fn plan_key(&self, fingerprint: u64) -> PlanKey;
 
     /// Splices `delta` into `plan` by re-scheduling only the dirty windows.
     /// See `ChasonEngine::replan_delta`.
@@ -206,8 +210,11 @@ macro_rules! impl_planning {
                 <$engine>::run_planned(self, plan, x)
             }
 
-            fn plan_key(&self, matrix: &CooMatrix) -> PlanKey {
-                PlanKey::new(matrix, self.config().sched)
+            fn plan_key(&self, fingerprint: u64) -> PlanKey {
+                PlanKey {
+                    fingerprint,
+                    config: self.config().sched,
+                }
             }
 
             fn replan_delta(
@@ -373,6 +380,33 @@ mod tests {
                 assert!(report.contains("verification failed"), "{report}");
             }
             other => panic!("expected InvalidSchedule, got {other:?}"),
+        }
+    }
+
+    /// The stale-stream guard: a window whose schedule is edited after it
+    /// was lowered (here a value change, which the static checker cannot
+    /// see without the source matrix) no longer matches its stream, and is
+    /// refused instead of replaying the old data.
+    #[test]
+    #[cfg(any(debug_assertions, feature = "strict-verify"))]
+    fn schedule_edited_after_planning_is_rejected_as_stale() {
+        let m = uniform_random(64, 64, 300, 1);
+        let engine = ChasonEngine::default();
+        let mut plan = engine.plan(&m).unwrap();
+        let slot = plan.passes[0].windows[0]
+            .schedule
+            .channels
+            .iter_mut()
+            .flat_map(|ch| ch.grid.iter_mut().flatten())
+            .flatten()
+            .next()
+            .unwrap();
+        slot.value *= 2.0;
+        match engine.run_planned(&plan, &vec![1.0; 64]) {
+            Err(SimError::InvalidSchedule(report)) => {
+                assert!(report.contains("stale"), "{report}");
+            }
+            other => panic!("expected a stale-stream rejection, got {other:?}"),
         }
     }
 

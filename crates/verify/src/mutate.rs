@@ -347,14 +347,7 @@ mod tests {
                 row_start: 0,
                 row_end: 48,
                 nnz: m.nnz(),
-                windows: vec![PlanWindow {
-                    col_start: 0,
-                    col_end: 48,
-                    nnz: m.nnz(),
-                    stalls: schedule.stalls(),
-                    stream_cycles: schedule.stream_cycles(),
-                    schedule,
-                }],
+                windows: vec![PlanWindow::new(0, 48, schedule)],
             }],
         };
         assert!(crate::verify_plan(&clean, Some(&m)).is_clean());

@@ -156,14 +156,7 @@ fn hand_plan(m: &CooMatrix, cfg: SchedulerConfig, width: usize) -> SpmvPlan {
         .into_iter()
         .map(|w| {
             let schedule = Crhcs::new().schedule(&w.matrix, &cfg);
-            PlanWindow {
-                col_start: w.col_start,
-                col_end: w.col_end,
-                nnz: w.matrix.nnz(),
-                stalls: schedule.stalls(),
-                stream_cycles: schedule.stream_cycles(),
-                schedule,
-            }
+            PlanWindow::new(w.col_start, w.col_end, schedule)
         })
         .collect::<Vec<_>>();
     SpmvPlan {

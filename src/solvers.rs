@@ -25,7 +25,7 @@
 //! ```
 
 use chason_core::cache::{CacheStats, LruCache};
-use chason_core::plan::{PlanKey, SpmvPlan};
+use chason_core::plan::{matrix_fingerprint, PlanKey, SpmvPlan};
 use chason_sim::{ChasonEngine, PlanningEngine, SerpensEngine, SimError};
 use chason_sparse::{CooMatrix, CsrMatrix};
 use chason_telemetry::trace::SpanEvent;
@@ -189,7 +189,7 @@ impl<E> EngineBackend<E> {
 
 impl<E: PlanningEngine> SpmvBackend for EngineBackend<E> {
     fn spmv(&mut self, matrix: &CooMatrix, x: &[f32]) -> Result<Vec<f32>, SimError> {
-        let key = self.engine.plan_key(matrix);
+        let key = self.engine.plan_key(matrix_fingerprint(matrix));
         if self.plans.get(&key).is_none() {
             let plan = self.engine.plan(matrix)?;
             self.schedules_built += 1;
