@@ -71,6 +71,23 @@ impl Args {
     pub fn has_flag(&self, key: &str) -> bool {
         self.options.contains_key(key)
     }
+
+    /// Rejects any option outside `accepted`, so a typo or a retired flag
+    /// fails loudly instead of being silently ignored.
+    ///
+    /// # Errors
+    ///
+    /// `unknown flag --X` for the first option not in `accepted`.
+    pub fn reject_unknown(&self, accepted: &[&str]) -> Result<(), String> {
+        match self
+            .options
+            .keys()
+            .find(|key| !accepted.contains(&key.as_str()))
+        {
+            Some(flag) => Err(format!("unknown flag --{flag}")),
+            None => Ok(()),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -103,6 +120,16 @@ mod tests {
     fn missing_subcommand_is_an_error() {
         assert!(Args::parse(vec!["--flag".to_string()]).is_err());
         assert!(Args::parse(Vec::new()).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        let a = parse("serve --workers 4 --wokers 8");
+        assert_eq!(
+            a.reject_unknown(&["workers"]),
+            Err("unknown flag --wokers".to_string())
+        );
+        assert_eq!(a.reject_unknown(&["workers", "wokers"]), Ok(()));
     }
 
     #[test]

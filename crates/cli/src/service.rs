@@ -8,7 +8,6 @@ use chason_serve::client::{Client, ClientError, RetryPolicy};
 use chason_serve::loadgen::{self, LoadgenOptions};
 use chason_serve::proto::{Engine, SolverKind};
 use chason_serve::server::{ServeConfig, Server};
-use chason_serve::NetMode;
 use chason_sparse::market::read_matrix_market;
 use chason_sparse::CooMatrix;
 use std::fs::File;
@@ -29,9 +28,55 @@ fn read_positional_matrix(args: &Args, index: usize) -> Result<CooMatrix, String
     read_matrix_market(file).map_err(|e| format!("cannot parse {path}: {e}"))
 }
 
+/// Options `chason serve` accepts; the last five configure the scheduler.
+const SERVE_FLAGS: &[&str] = &[
+    "addr",
+    "workers",
+    "queue",
+    "plan-cache",
+    "matrix-cache",
+    "idle-timeout-secs",
+    "batch-max",
+    "retry-after-ms",
+    "channels",
+    "pes",
+    "distance",
+    "scan-limit",
+    "hops",
+];
+
+/// Options `chason route` accepts.
+const ROUTE_FLAGS: &[&str] = &[
+    "addr",
+    "shards",
+    "workers",
+    "queue",
+    "matrix-cache",
+    "retry-after-ms",
+    "retry-attempts",
+    "health-interval-ms",
+    "shutdown-shards",
+];
+
+/// Options `chason loadgen` accepts.
+const LOADGEN_FLAGS: &[&str] = &[
+    "addr",
+    "connections",
+    "requests",
+    "seed",
+    "require-hits",
+    "churn",
+    "router",
+    "pipeline",
+    "open-loop",
+    "format",
+    "report",
+];
+
 /// `chason serve` — run the CHSP daemon until a `Shutdown` request
 /// arrives.
 pub fn serve(args: &Args) -> Result<(), String> {
+    args.reject_unknown(SERVE_FLAGS)?;
     let config = ServeConfig {
         addr: args.get("addr").unwrap_or("127.0.0.1:7477").to_string(),
         workers: args.get_or("workers", 4usize)?,
@@ -42,7 +87,6 @@ pub fn serve(args: &Args) -> Result<(), String> {
         batch_max: args.get_or("batch-max", 8usize)?,
         retry_after_ms: args.get_or("retry-after-ms", 20u32)?,
         sched: scheduler_config(args)?,
-        net: NetMode::parse(args.get("net").unwrap_or("async"))?,
         ..ServeConfig::default()
     };
     let server = Server::start(config).map_err(|e| format!("cannot start server: {e}"))?;
@@ -61,6 +105,7 @@ pub fn serve(args: &Args) -> Result<(), String> {
 /// runs until a `Shutdown` request arrives (forwarded to every shard
 /// when `--shutdown-shards` is set).
 pub fn route(args: &Args) -> Result<(), String> {
+    args.reject_unknown(ROUTE_FLAGS)?;
     let shards: Vec<String> = args
         .get("shards")
         .unwrap_or("")
@@ -85,7 +130,6 @@ pub fn route(args: &Args) -> Result<(), String> {
         },
         health_interval: Duration::from_millis(args.get_or("health-interval-ms", 2000u64)?),
         shutdown_shards: args.has_flag("shutdown-shards"),
-        net: NetMode::parse(args.get("net").unwrap_or("async"))?,
         ..RouterConfig::default()
     };
     let router = Router::start(config).map_err(|e| format!("cannot start router: {e}"))?;
@@ -306,6 +350,7 @@ pub fn client(args: &Args) -> Result<(), String> {
 /// in-process one when `--addr` is omitted): closed-loop by default,
 /// pipelined with `--pipeline DEPTH`, open-loop with `--open-loop RPS`.
 pub fn run_loadgen(args: &Args) -> Result<(), String> {
+    args.reject_unknown(LOADGEN_FLAGS)?;
     let churn = args.get_or("churn", 0u64)?;
     if churn > 100 {
         return Err(format!(
@@ -346,4 +391,66 @@ pub fn run_loadgen(args: &Args) -> Result<(), String> {
         println!("report written to {path}");
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn args(line: &str) -> Args {
+        Args::parse(line.split_whitespace().map(String::from)).expect("subcommand")
+    }
+
+    #[test]
+    fn retired_and_misspelt_flags_are_rejected() {
+        assert_eq!(
+            serve(&args("serve --net threads")),
+            Err("unknown flag --net".to_string())
+        );
+        assert_eq!(
+            route(&args("route --shards 127.0.0.1:1 --net async")),
+            Err("unknown flag --net".to_string())
+        );
+        assert_eq!(
+            run_loadgen(&args("loadgen --pipline 8")),
+            Err("unknown flag --pipline".to_string())
+        );
+    }
+
+    /// Every `chason serve|route|loadgen` invocation in the CI workflow
+    /// passes only flags its subcommand accepts.
+    #[test]
+    fn every_flag_ci_passes_is_accepted() {
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/../../.github/workflows/ci.yml"
+        );
+        let workflow = std::fs::read_to_string(path).expect("CI workflow is readable");
+        // Shell line continuations join a command back into one line.
+        let joined = workflow.replace("\\\n", " ");
+        let mut checked = 0;
+        for line in joined.lines() {
+            let Some(rest) = line.split("target/release/chason ").nth(1) else {
+                continue;
+            };
+            let mut words = rest.split_whitespace();
+            let accepted = match words.next() {
+                Some("serve") => SERVE_FLAGS,
+                Some("route") => ROUTE_FLAGS,
+                Some("loadgen") => LOADGEN_FLAGS,
+                _ => continue,
+            };
+            for flag in words.filter_map(|w| w.strip_prefix("--")) {
+                assert!(
+                    accepted.contains(&flag),
+                    "CI passes unknown flag --{flag}: {line}"
+                );
+            }
+            checked += 1;
+        }
+        assert!(
+            checked >= 8,
+            "found only {checked} serve/route/loadgen commands in CI"
+        );
+    }
 }

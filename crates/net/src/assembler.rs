@@ -3,9 +3,10 @@
 //! The readiness loop hands a connection whatever bytes the socket had —
 //! half a header, three frames and a fragment, one byte at a time — and
 //! [`FrameAssembler`] turns that stream back into whole frame payloads.
-//! It is the nonblocking twin of the serve crate's `FrameReader`: the same
-//! little-endian `u32` length prefix, the same cap enforcement before any
-//! payload allocation, the same bounded preallocation so a hostile header
+//! It is the one incremental CHSP frame reader: the event loop and the
+//! load generator's client connections both feed it. Frames carry a
+//! little-endian `u32` length prefix; the cap is enforced before any
+//! payload allocation, and preallocation is bounded so a hostile header
 //! cannot reserve gigabytes.
 
 /// Frame payloads never preallocate more than this many bytes up front,

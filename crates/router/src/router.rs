@@ -1,13 +1,13 @@
-//! The `chason route` frontend: listener, connection threads, worker
+//! The `chason route` frontend: event-loop connection layer, worker
 //! pool, scatter-gather executors, and the shard health checker.
 //!
 //! # Threading model
 //!
-//! The shape mirrors `chason serve` deliberately — one listener thread,
-//! a thread per connection, a bounded MPMC queue feeding a fixed worker
-//! pool, `Stats`/`Metrics`/`Shutdown` answered inline, `Busy` shed when
-//! the queue is full — so a router drops into any deployment script that
-//! already drives a server. The difference is inside the workers: instead
+//! The shape mirrors `chason serve` deliberately — the shared
+//! [`chason_net`] event loop for every client connection, a bounded MPMC
+//! queue feeding a fixed worker pool, `Stats`/`Metrics`/`Shutdown`
+//! answered inline, `Busy` shed when the queue is full — so a router
+//! drops into any deployment script that already drives a server. The difference is inside the workers: instead
 //! of executing kernels, each worker owns one pooled
 //! [`ShardConn`](crate::shards::ShardConn) per backend and scatters
 //! sub-requests across them with scoped threads, so an N-shard fan-out
@@ -31,19 +31,16 @@ use chason_core::cache::{CacheStats, LruCache};
 use chason_core::plan::matrix_fingerprint;
 use chason_net::NetServer;
 use chason_serve::client::{Client, RetryPolicy};
-use chason_serve::frontend::{
-    start_async_frontend, threaded_listener_loop, ChspFrontend, EnqueueOutcome, Job,
-};
+use chason_serve::frontend::{start_async_frontend, ChspFrontend, EnqueueOutcome, Job};
 use chason_serve::proto::{
     Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
 };
 use chason_serve::stats::lock_unpoisoned;
-use chason_serve::NetMode;
 use chason_sim::SimError;
 use chason_sparse::shard::ShardSpec;
 use chason_sparse::{CooMatrix, MatrixDelta};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -70,8 +67,6 @@ pub struct RouterConfig {
     /// How long a client connection may sit idle before the router hangs
     /// up.
     pub idle_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
     /// Largest accepted frame payload.
     pub max_frame_len: usize,
     /// Back-off hint carried by [`Reply::Busy`] when the router itself
@@ -85,8 +80,6 @@ pub struct RouterConfig {
     /// before the router drains (one `chason client shutdown` tears the
     /// whole deployment down).
     pub shutdown_shards: bool,
-    /// Which connection front end to run (`--net async|threads`).
-    pub net: NetMode,
 }
 
 impl Default for RouterConfig {
@@ -98,13 +91,11 @@ impl Default for RouterConfig {
             queue_capacity: 64,
             matrix_cache_capacity: 32,
             idle_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             max_frame_len: DEFAULT_MAX_FRAME,
             retry_after_ms: 20,
             shard_retry: RetryPolicy::default(),
             health_interval: Duration::from_secs(2),
             shutdown_shards: false,
-            net: NetMode::default(),
         }
     }
 }
@@ -233,10 +224,6 @@ impl ChspFrontend for RouterFrontend {
         self.shared.config.idle_timeout
     }
 
-    fn write_timeout(&self) -> Duration {
-        self.shared.config.write_timeout
-    }
-
     fn max_frame_len(&self) -> usize {
         self.shared.config.max_frame_len
     }
@@ -246,14 +233,13 @@ impl ChspFrontend for RouterFrontend {
 pub struct Router {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    listener_thread: Option<JoinHandle<()>>,
-    net: Option<NetServer>,
+    net: NetServer,
     workers: Vec<JoinHandle<()>>,
-    health_thread: Option<JoinHandle<()>>,
+    health_thread: JoinHandle<()>,
 }
 
 impl Router {
-    /// Binds, spawns the worker pool, listener, and health checker, and
+    /// Binds, spawns the worker pool, event loop, and health checker, and
     /// returns immediately. Shards are probed lazily — a router starts
     /// fine with every backend down and reports them via `Metrics`.
     ///
@@ -296,27 +282,13 @@ impl Router {
             shared: Arc::clone(&shared),
             job_tx,
         });
-        let (listener_thread, net) = match config.net {
-            NetMode::Async => {
-                let net = start_async_frontend(listener, frontend, shared.stats.inner.registry())?;
-                (None, Some(net))
-            }
-            NetMode::Threads => {
-                let listener_thread = thread::Builder::new()
-                    .name("chason-router-listener".to_string())
-                    .spawn(move || {
-                        threaded_listener_loop(&listener, &frontend, "chason-router-conn")
-                    })?;
-                (Some(listener_thread), None)
-            }
-        };
+        let net = start_async_frontend(listener, frontend, shared.stats.inner.registry())?;
         Ok(Router {
             local_addr,
             shared,
-            listener_thread,
             net,
             workers: worker_handles,
-            health_thread: Some(health_thread),
+            health_thread,
         })
     }
 
@@ -342,32 +314,19 @@ impl Router {
     /// backends down too.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &self.net {
-            Some(net) => net.shutdown(),
-            // Nudge the threaded listener out of `accept`.
-            None => {
-                let _ = TcpStream::connect(self.local_addr);
-            }
-        }
+        self.net.shutdown();
     }
 
     /// Blocks until the connection front end, every connection, every
     /// worker, and the health checker have exited. Call
     /// [`shutdown`](Self::shutdown) first (or send a `Shutdown` request)
     /// or this blocks forever.
-    pub fn join(mut self) {
-        if let Some(listener) = self.listener_thread.take() {
-            let _ = listener.join();
-        }
-        if let Some(net) = self.net.take() {
-            net.join();
-        }
-        for worker in self.workers.drain(..) {
+    pub fn join(self) {
+        self.net.join();
+        for worker in self.workers {
             let _ = worker.join();
         }
-        if let Some(health) = self.health_thread.take() {
-            let _ = health.join();
-        }
+        let _ = self.health_thread.join();
     }
 }
 
@@ -379,20 +338,6 @@ fn forward_shutdown(shared: &Shared) {
             let _ = client.request(&Request::Shutdown);
         }
     }
-}
-
-fn record_accepted_kind(shared: &Shared, request: &Request) {
-    let requests = &shared.stats.inner.requests;
-    let counter = match request {
-        Request::LoadMatrix { .. } => &requests.load,
-        Request::Spmv { .. } => &requests.spmv,
-        Request::Solve { .. } => &requests.solve,
-        Request::Plan { .. } => &requests.plan,
-        Request::Sleep { .. } => &requests.sleep,
-        Request::Update { .. } => &requests.update,
-        Request::Stats | Request::Metrics | Request::Shutdown => return,
-    };
-    counter.add(1);
 }
 
 // ---------------------------------------------------------------------------
@@ -421,7 +366,7 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Receiver<Job>, worker_index: u64) {
         })
         .collect();
     while let Ok(job) = rx.recv() {
-        record_accepted_kind(shared, &job.request);
+        shared.stats.inner.requests.record_accepted(&job.request);
         shared
             .stats
             .inner

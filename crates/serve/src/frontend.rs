@@ -5,81 +5,51 @@
 //! `Stats`/`Metrics`/`Shutdown` inline, refuse queued work while
 //! draining, and shed with [`Reply::Busy`] when their bounded worker
 //! queue is full. This module captures that contract once, behind the
-//! [`ChspFrontend`] trait, and provides both transports over it:
+//! [`ChspFrontend`] trait, and runs it as a [`chason_net::Service`]
+//! ([`ChspService`]) on the readiness event loop, where one thread
+//! multiplexes every connection and requests may be pipelined.
 //!
-//! * [`serve_connection_threaded`] — the original thread-per-connection
-//!   loop (`--net threads`), one blocking socket per client.
-//! * [`ChspService`] — the same request handling as a
-//!   [`chason_net::Service`], run by the readiness event loop
-//!   (`--net async`), where one thread multiplexes every connection and
-//!   requests may be pipelined.
-//!
-//! The two are byte-identical at the wire: replies are written strictly
-//! in per-connection request order (the event loop re-orders worker
-//! completions by sequence number), shedding and drain refusals carry the
-//! same error codes, and the idle-timeout clock resets on any completed
-//! frame in either direction — so a client cannot tell which front end it
-//! is talking to.
+//! Replies are written strictly in per-connection request order (the
+//! event loop re-orders worker completions by sequence number), and the
+//! idle-timeout clock resets on any completed frame in either direction.
+//! The committed CHSP transcript (`tests/golden/chsp_transcript.bin`,
+//! replayed by `crates/serve/tests/transcript.rs`) pins the wire
+//! behaviour byte for byte.
 
-use crate::proto::{
-    decode_request, encode_reply, write_frame, ErrorCode, FrameEvent, FrameReader, ProtoError,
-    Reply, Request,
-};
+use crate::proto::{decode_request, encode_reply, ErrorCode, Reply, Request};
 use chason_net::server::{FrameOutcome, NetConfig, NetServer};
 use chason_net::{LoopHandle, Service};
 use chason_telemetry::metrics::Registry;
-use std::net::{TcpListener, TcpStream};
-use std::sync::{mpsc, Arc};
-use std::thread::{self, JoinHandle};
+use std::net::TcpListener;
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// How often a blocked connection read wakes up to re-check the shutdown
-/// flag and idle deadline (threaded front end only).
-pub const READ_TICK: Duration = Duration::from_millis(100);
-
-/// Where a worker's reply goes: back to the blocking connection thread,
-/// or into the event loop's completion queue under the frame's sequence
-/// number.
-pub enum ReplySink {
-    /// Threaded front end: the connection thread blocks on the receiver.
-    Thread(mpsc::Sender<Reply>),
-    /// Async front end: the worker encodes the reply itself (off the
-    /// loop thread) and completes the `(conn, seq)` slot.
-    Async {
-        /// Completion handle into the event loop.
-        handle: LoopHandle,
-        /// Connection the frame arrived on.
-        conn: u64,
-        /// Per-connection sequence number of the frame.
-        seq: u64,
-    },
+/// Where a worker's reply goes: the event loop's completion slot for the
+/// frame. The worker encodes the reply itself, off the loop thread.
+pub struct ReplySink {
+    /// Completion handle into the event loop.
+    pub handle: LoopHandle,
+    /// Connection the frame arrived on.
+    pub conn: u64,
+    /// Per-connection sequence number of the frame.
+    pub seq: u64,
 }
 
 impl ReplySink {
-    /// Delivers the reply. A gone receiver (client disconnected) is not
+    /// Delivers the reply. A gone connection (client disconnected) is not
     /// an error.
     pub fn send(self, reply: &Reply) {
-        match self {
-            ReplySink::Thread(tx) => {
-                let _ = tx.send(reply.clone());
-            }
-            ReplySink::Async { handle, conn, seq } => {
-                handle.complete(conn, seq, encode_reply(reply));
-            }
-        }
+        self.handle
+            .complete(self.conn, self.seq, encode_reply(reply));
     }
 }
 
 impl std::fmt::Debug for ReplySink {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ReplySink::Thread(_) => f.write_str("ReplySink::Thread"),
-            ReplySink::Async { conn, seq, .. } => f
-                .debug_struct("ReplySink::Async")
-                .field("conn", conn)
-                .field("seq", seq)
-                .finish(),
-        }
+        f.debug_struct("ReplySink")
+            .field("conn", &self.conn)
+            .field("seq", &self.seq)
+            .finish()
     }
 }
 
@@ -109,7 +79,7 @@ pub enum EnqueueOutcome {
 
 /// The pieces of a CHSP daemon the connection layer needs: inline
 /// replies, drain state, and the worker queue. `chason serve` and
-/// `chason route` each implement this once and get both front ends.
+/// `chason route` each implement this once.
 pub trait ChspFrontend: Send + Sync + 'static {
     /// Answers `Stats` (implementations bump their own counter).
     fn stats_reply(&self) -> Reply;
@@ -131,24 +101,8 @@ pub trait ChspFrontend: Send + Sync + 'static {
     fn enqueue(&self, job: Job) -> EnqueueOutcome;
     /// How long a connection may sit idle before the daemon hangs up.
     fn idle_timeout(&self) -> Duration;
-    /// Per-connection write timeout (threaded front end; the async loop
-    /// bounds slow writers with backpressure plus the idle reap instead).
-    fn write_timeout(&self) -> Duration;
     /// Largest accepted frame payload.
     fn max_frame_len(&self) -> usize;
-}
-
-fn send_reply(stream: &mut TcpStream, reply: &Reply) -> std::io::Result<()> {
-    match write_frame(stream, &encode_reply(reply)) {
-        Ok(()) => Ok(()),
-        Err(ProtoError::Io(e)) => Err(e),
-        // An un-frameable reply (> u32::MAX bytes) cannot reach the peer;
-        // surface it as data corruption so the connection is dropped.
-        Err(other) => Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            other.to_string(),
-        )),
-    }
 }
 
 fn frame_too_large_reply(len: u64, cap: u64) -> Reply {
@@ -158,166 +112,9 @@ fn frame_too_large_reply(len: u64, cap: u64) -> Reply {
     }
 }
 
-/// The thread-per-connection loop: one blocking socket, one request at a
-/// time, replies written inline.
-///
-/// The idle clock resets on any *completed frame* — a request arriving or
-/// a reply being written — not only on request dispatch, so a connection
-/// whose single request runs longer than the idle timeout is not reaped
-/// out from under the reply.
-///
-/// # Errors
-///
-/// Socket I/O failures; callers treat any return as "connection over".
-pub fn serve_connection_threaded<F: ChspFrontend>(
-    mut stream: TcpStream,
-    frontend: &F,
-) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_TICK))?;
-    stream.set_write_timeout(Some(frontend.write_timeout()))?;
-    stream.set_nodelay(true)?;
-    let mut reader = FrameReader::new(frontend.max_frame_len());
-    let mut last_activity = Instant::now();
-    loop {
-        let event = match reader.poll(&mut stream) {
-            Ok(event) => event,
-            Err(ProtoError::FrameTooLarge { len, cap }) => {
-                // The stream cannot be resynchronized past an oversized
-                // frame; reply, then hang up.
-                let _ = send_reply(&mut stream, &frame_too_large_reply(len, cap));
-                return Ok(());
-            }
-            Err(_) => return Ok(()), // disconnect (mid-frame EOF included)
-        };
-        let payload = match event {
-            FrameEvent::Frame(payload) => payload,
-            FrameEvent::Eof => return Ok(()),
-            FrameEvent::Timeout => {
-                if frontend.is_draining() && !reader.mid_frame() {
-                    return Ok(());
-                }
-                if last_activity.elapsed() > frontend.idle_timeout() {
-                    return Ok(()); // idle connection reclaimed
-                }
-                continue;
-            }
-        };
-        let request = match decode_request(&payload) {
-            Ok(request) => request,
-            Err(err) => {
-                // A malformed payload poisons only itself; the connection
-                // continues at the next frame boundary.
-                send_reply(
-                    &mut stream,
-                    &Reply::Error {
-                        code: ErrorCode::MalformedFrame,
-                        message: err.to_string(),
-                    },
-                )?;
-                last_activity = Instant::now();
-                continue;
-            }
-        };
-        match request {
-            Request::Stats => {
-                send_reply(&mut stream, &frontend.stats_reply())?;
-            }
-            Request::Metrics => {
-                send_reply(&mut stream, &frontend.metrics_reply())?;
-            }
-            Request::Shutdown => {
-                frontend.on_wire_shutdown();
-                let local = stream.local_addr()?;
-                send_reply(&mut stream, &Reply::Done)?;
-                // Nudge the listener out of `accept` so it can join.
-                let _ = TcpStream::connect(local);
-                return Ok(());
-            }
-            request => {
-                if frontend.is_draining() {
-                    send_reply(
-                        &mut stream,
-                        &Reply::Error {
-                            code: ErrorCode::ShuttingDown,
-                            message: frontend.draining_message(),
-                        },
-                    )?;
-                    return Ok(());
-                }
-                let (reply_tx, reply_rx) = mpsc::channel();
-                let job = Job {
-                    request,
-                    reply_tx: ReplySink::Thread(reply_tx),
-                    received: Instant::now(),
-                };
-                match frontend.enqueue(job) {
-                    EnqueueOutcome::Accepted => {
-                        let reply = reply_rx.recv().unwrap_or(Reply::Error {
-                            code: ErrorCode::Internal,
-                            message: "worker dropped the request".to_string(),
-                        });
-                        send_reply(&mut stream, &reply)?;
-                    }
-                    EnqueueOutcome::Shed => {
-                        send_reply(
-                            &mut stream,
-                            &Reply::Busy {
-                                retry_after_ms: frontend.retry_after_ms(),
-                            },
-                        )?;
-                    }
-                    EnqueueOutcome::Disconnected => {
-                        send_reply(
-                            &mut stream,
-                            &Reply::Error {
-                                code: ErrorCode::ShuttingDown,
-                                message: "worker pool has stopped".to_string(),
-                            },
-                        )?;
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        // The reply above completed a frame; the connection is active.
-        last_activity = Instant::now();
-    }
-}
-
-/// The blocking accept loop of the threaded front end: spawns one
-/// `serve_connection_threaded` thread per client and joins them on exit.
-pub fn threaded_listener_loop<F: ChspFrontend>(
-    listener: &TcpListener,
-    frontend: &Arc<F>,
-    conn_thread_name: &str,
-) {
-    let mut connections: Vec<JoinHandle<()>> = Vec::new();
-    for stream in listener.incoming() {
-        if frontend.is_draining() {
-            break;
-        }
-        let Ok(stream) = stream else { continue };
-        let frontend = Arc::clone(frontend);
-        let spawned = thread::Builder::new()
-            .name(conn_thread_name.to_string())
-            .spawn(move || {
-                let _ = serve_connection_threaded(stream, &*frontend);
-            });
-        if let Ok(handle) = spawned {
-            connections.push(handle);
-        }
-        // Reap finished connection threads so a long-lived server does not
-        // accumulate handles.
-        connections.retain(|h| !h.is_finished());
-    }
-    for handle in connections {
-        let _ = handle.join();
-    }
-}
-
-/// The same request handling as a [`chason_net::Service`]: run by the
-/// readiness event loop, so one thread serves every connection and
-/// clients may pipeline.
+/// The request handling of [`ChspFrontend`] as a [`chason_net::Service`]:
+/// run by the readiness event loop, so one thread serves every
+/// connection and clients may pipeline.
 pub struct ChspService<F> {
     frontend: Arc<F>,
     handle: LoopHandle,
@@ -338,9 +135,9 @@ impl<F: ChspFrontend> Service for ChspService<F> {
             Request::Stats => FrameOutcome::Reply(encode_reply(&self.frontend.stats_reply())),
             Request::Metrics => FrameOutcome::Reply(encode_reply(&self.frontend.metrics_reply())),
             Request::Shutdown => {
-                // Daemon-specific fan-out first (mirrors the threaded
-                // ordering: "Done" acknowledges a completed drain start),
-                // then stop the loop's accept thread and begin the drain.
+                // Daemon-specific fan-out first ("Done" acknowledges a
+                // completed drain start), then stop the loop's accept
+                // thread and begin the drain.
                 self.frontend.on_wire_shutdown();
                 self.handle.begin_drain();
                 FrameOutcome::ReplyThenClose(encode_reply(&Reply::Done))
@@ -354,7 +151,7 @@ impl<F: ChspFrontend> Service for ChspService<F> {
                 }
                 let job = Job {
                     request,
-                    reply_tx: ReplySink::Async {
+                    reply_tx: ReplySink {
                         handle: self.handle.clone(),
                         conn,
                         seq,

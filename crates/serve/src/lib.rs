@@ -12,13 +12,14 @@
 //!
 //! The pieces:
 //!
-//! * [`proto`] — wire format: frames, requests, replies, the incremental
-//!   [`FrameReader`](proto::FrameReader).
-//! * [`server`] — [`Server`](server::Server): listener, per-connection
-//!   threads, worker pool, shared caches, graceful drain.
+//! * [`proto`] — wire format: frames, requests, replies.
+//! * [`frontend`] — the connection contract both CHSP daemons share, run
+//!   on the [`chason_net`] readiness event loop.
+//! * [`server`] — [`Server`](server::Server): event-loop front end,
+//!   worker pool, shared caches, graceful drain.
 //! * [`client`] — blocking [`Client`](client::Client) with typed helpers.
-//! * [`loadgen`] — deterministic closed-loop load generator
-//!   (`chason loadgen`).
+//! * [`loadgen`] — deterministic load generator (`chason loadgen`):
+//!   closed loop at pipeline depth 1, pipelined or open loop above it.
 //! * [`stats`] — lock-free counters behind the `Stats` request.
 //!
 //! Built entirely on `std` networking and the repo's vendored shims; see
@@ -35,7 +36,6 @@ pub mod proto;
 pub mod server;
 pub mod stats;
 
-pub use chason_net::NetMode;
 pub use client::{Client, ClientError, RetryPolicy, UpdateOutcome};
 pub use loadgen::{LoadgenOptions, LoadgenReport, RouterLoadReport};
 pub use proto::{Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot};

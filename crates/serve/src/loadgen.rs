@@ -2,24 +2,27 @@
 //!
 //! `chason loadgen` drives a mixed workload — roughly 60% SpMV across all
 //! three backends, 20% iterative solves, 10% plan fetches, 10% stats
-//! polls — from N concurrent connections. By default each connection is a
-//! closed loop (next request only after the previous reply); `--pipeline
-//! DEPTH` keeps up to DEPTH requests in flight per connection, and
+//! polls — from N concurrent connections. Each connection keeps up to
+//! `--pipeline DEPTH` requests in flight; the default depth 1 is the
+//! closed loop (next request only after the previous reply).
 //! `--open-loop RPS` switches to scheduled arrivals that do not wait for
 //! replies at all, so a single loadgen process can drive 1k+ connections
-//! against the async listener. The request schedule is a pure function of
+//! against the event loop. The request schedule is a pure function of
 //! `(seed, connection index)`, so a run is reproducible end-to-end; the
-//! only nondeterminism is timing. `Busy` replies are retried and counted,
-//! never treated as errors: shedding is the server behaving as specified.
+//! only nondeterminism is timing. `Busy` replies are counted and retried
+//! once the server's back-off hint has elapsed, never treated as errors:
+//! shedding is the server behaving as specified.
 
 use crate::client::{Client, ClientError};
 use crate::proto::{
-    decode_reply, encode_request, read_frame_blocking, write_frame, Engine, FrameEvent,
-    FrameReader, ProtoError, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
+    decode_reply, encode_request, read_frame_blocking, write_frame, Engine, ProtoError, Reply,
+    Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
 };
 use crate::server::{ServeConfig, Server};
+use chason_net::FrameAssembler;
 use chason_sparse::CooMatrix;
 use std::collections::VecDeque;
+use std::io::{ErrorKind, Read};
 use std::net::TcpStream;
 use std::sync::{Condvar, Mutex};
 use std::thread;
@@ -53,9 +56,10 @@ pub struct LoadgenOptions {
     /// percentiles, scatter failures). Requires `addr`.
     pub router: bool,
     /// Requests kept in flight per connection. `1` (the default) is the
-    /// classic closed loop; larger depths pipeline requests — each
-    /// connection writes up to `pipeline` frames before reading, matching
-    /// replies FIFO (CHSP replies are strictly ordered per connection).
+    /// closed loop: the next request goes out only after the previous
+    /// reply. Larger depths pipeline requests — each connection writes up
+    /// to `pipeline` frames before reading, matching replies FIFO (CHSP
+    /// replies are strictly ordered per connection).
     pub pipeline: usize,
     /// Open-loop arrival mode: requests are sent on a fixed schedule of
     /// this many requests per second (aggregate, split evenly across
@@ -456,138 +460,7 @@ fn diagonal_of(matrix: &CooMatrix) -> Vec<f32> {
     diag
 }
 
-fn run_connection(
-    addr: &str,
-    matrices: &[CooMatrix],
-    requests: usize,
-    churn: u64,
-    router: bool,
-    mut rng: u64,
-) -> Result<ConnOutcome, ClientError> {
-    let mut client = Client::connect(addr)?;
-    let mut handles = Vec::with_capacity(matrices.len());
-    for matrix in matrices {
-        let (handle, _fresh) = client.load_matrix(matrix)?;
-        handles.push(handle);
-    }
-    let diagonals: Vec<Vec<f32>> = matrices.iter().map(diagonal_of).collect();
-    let churn = churn.min(100);
-    let mut outcome = ConnOutcome {
-        completed: 0,
-        protocol_errors: 0,
-        busy_retries: 0,
-        by_type: [0; 5],
-        latencies: Vec::with_capacity(requests),
-    };
-    for _ in 0..requests {
-        let which = (splitmix64(&mut rng) as usize) % matrices.len();
-        let (matrix, handle) = (&matrices[which], handles[which]);
-        let n = matrix.rows();
-        // First `churn`% of the roll space is matrix churn; the remainder
-        // maps onto the classic 60/20/10/10 mix.
-        let roll = splitmix64(&mut rng) % 100;
-        let kind = if roll < churn {
-            10 // churn
-        } else {
-            (roll - churn) * 10 / (100 - churn).max(1)
-        };
-        // Retry loop: Busy is shedding, not failure.
-        loop {
-            let start = Instant::now();
-            let result: Result<usize, ClientError> = match kind {
-                10 => {
-                    // Revalue a handful of diagonal entries upward. The
-                    // diagonal always exists whatever other connections
-                    // have churned, and only ever grows past its as-loaded
-                    // value, so concurrent deltas can never conflict or
-                    // break convergence.
-                    let count = 1 + (splitmix64(&mut rng) as usize) % 3;
-                    let mut revalues: Vec<(u64, u64, f32)> = Vec::with_capacity(count);
-                    for _ in 0..count {
-                        let i = (splitmix64(&mut rng) as usize) % n;
-                        if revalues.iter().any(|&(r, _, _)| r == i as u64) {
-                            continue; // a delta batch may touch a coordinate once
-                        }
-                        let bump = 0.5 + (splitmix64(&mut rng) % 1000) as f32 / 1000.0;
-                        revalues.push((i as u64, i as u64, diagonals[which][i] + bump));
-                    }
-                    client
-                        .update(handle, Vec::new(), revalues, Vec::new())
-                        .and_then(|outcome| {
-                            if outcome.version > 0 {
-                                Ok(4)
-                            } else {
-                                Err(ClientError::Unexpected(
-                                    "update did not advance the version".to_string(),
-                                ))
-                            }
-                        })
-                }
-                0..=5 => {
-                    let phase = (splitmix64(&mut rng) % 1000) as f32 / 1000.0;
-                    let x: Vec<f32> = (0..n).map(|i| (i as f32 * 0.37 + phase).sin()).collect();
-                    let engine = ENGINES[(splitmix64(&mut rng) as usize) % ENGINES.len()];
-                    client.spmv(handle, engine, x).and_then(|(y, _, _)| {
-                        if y.len() == n {
-                            Ok(0)
-                        } else {
-                            Err(ClientError::Unexpected(format!(
-                                "spmv returned {} values for {n} rows",
-                                y.len()
-                            )))
-                        }
-                    })
-                }
-                6 | 7 => {
-                    let b: Vec<f32> = (0..n).map(|i| 1.0 + (i % 5) as f32 * 0.25).collect();
-                    let engine = ENGINES[1 + (splitmix64(&mut rng) as usize) % 2];
-                    let solver = if splitmix64(&mut rng).is_multiple_of(2) {
-                        SolverKind::Jacobi
-                    } else {
-                        SolverKind::Cg
-                    };
-                    client.solve(handle, engine, solver, 8, 1e-4, b).map(|_| 1)
-                }
-                // A router refuses Plan (artifacts are per-shard), so the
-                // plan slot becomes an extra stats poll there.
-                8 if router => client.stats().map(|_| 3),
-                8 => {
-                    let engine = ENGINES[1 + (splitmix64(&mut rng) as usize) % 2];
-                    client.plan(handle, engine).and_then(|bytes| {
-                        if bytes.starts_with(b"CHPL") {
-                            Ok(2)
-                        } else {
-                            Err(ClientError::Unexpected(
-                                "plan artifact missing CHPL magic".to_string(),
-                            ))
-                        }
-                    })
-                }
-                _ => client.stats().map(|_| 3),
-            };
-            match result {
-                Ok(slot) => {
-                    outcome.latencies.push(start.elapsed().as_micros() as u64);
-                    outcome.completed += 1;
-                    outcome.by_type[slot] += 1;
-                    break;
-                }
-                Err(ClientError::Busy { retry_after_ms }) => {
-                    outcome.busy_retries += 1;
-                    thread::sleep(Duration::from_millis(u64::from(retry_after_ms.max(1))));
-                }
-                Err(ClientError::Io(e)) => return Err(ClientError::Io(e)), // connection gone
-                Err(_) => {
-                    outcome.protocol_errors += 1;
-                    break;
-                }
-            }
-        }
-    }
-    Ok(outcome)
-}
-
-/// A countdown gate lining every pipelined connection up after setup, so
+/// A countdown gate lining every connection up after setup, so
 /// the server demonstrably holds all of them open at once before the
 /// first request flies. Unlike [`std::sync::Barrier`], a participant that
 /// never starts (spawn failure, failed setup) can be forfeited without
@@ -634,8 +507,8 @@ impl StartGate {
     }
 }
 
-/// One pre-planned pipelined request: the encoded frame plus what reply
-/// shape counts as success.
+/// One pre-planned request: the encoded frame plus what reply shape
+/// counts as success.
 struct Scheduled {
     payload: Vec<u8>,
     /// `by_type` slot the request belongs to: `[spmv, solve, plan,
@@ -645,8 +518,8 @@ struct Scheduled {
     n: usize,
 }
 
-/// Draws one request from the same mixed workload as the closed loop,
-/// already encoded so the pipelining loop only moves bytes.
+/// Draws one request from the mixed workload, already encoded so the
+/// connection loop only moves bytes.
 fn draw_request(
     matrices: &[CooMatrix],
     handles: &[u64],
@@ -666,15 +539,16 @@ fn draw_request(
     };
     let (request, slot, expect_n) = match kind {
         10 => {
-            // Diagonal revalues only ever grow past the as-loaded value,
-            // so any interleaving across connections stays SPD (same
-            // invariant as the closed loop).
+            // Revalue a handful of diagonal entries upward. The diagonal
+            // always exists whatever other connections have churned, and
+            // only ever grows past its as-loaded value, so concurrent
+            // deltas can never conflict or break convergence.
             let count = 1 + (splitmix64(rng) as usize) % 3;
             let mut revalues: Vec<(u64, u64, f32)> = Vec::with_capacity(count);
             for _ in 0..count {
                 let i = (splitmix64(rng) as usize) % n;
                 if revalues.iter().any(|&(r, _, _)| r == i as u64) {
-                    continue;
+                    continue; // a delta batch may touch a coordinate once
                 }
                 let bump = 0.5 + (splitmix64(rng) % 1000) as f32 / 1000.0;
                 revalues.push((i as u64, i as u64, diagonals[which][i] + bump));
@@ -717,6 +591,8 @@ fn draw_request(
                 0,
             )
         }
+        // A router refuses Plan (artifacts are per-shard), so the plan slot
+        // becomes an extra stats poll there.
         8 if !router => {
             let engine = ENGINES[1 + (splitmix64(rng) as usize) % 2];
             (Request::Plan { handle, engine }, 2, 0)
@@ -730,23 +606,21 @@ fn draw_request(
     }
 }
 
-/// Checks a pipelined reply against what its request expected. `Ok(true)`
-/// is success, `Ok(false)` is `Busy` (retry the request), `Err` is a
-/// protocol error.
-fn check_reply(reply: &Reply, expected: &Scheduled) -> Result<bool, String> {
+/// Checks a non-`Busy` reply against what its request expected; `Err` is
+/// a protocol error.
+fn check_reply(reply: &Reply, expected: &Scheduled) -> Result<(), String> {
     match (expected.slot, reply) {
-        (_, Reply::Busy { .. }) => Ok(false),
-        (0, Reply::Vector { y, .. }) if y.len() == expected.n => Ok(true),
+        (0, Reply::Vector { y, .. }) if y.len() == expected.n => Ok(()),
         (0, Reply::Vector { y, .. }) => Err(format!(
             "spmv returned {} values for {} rows",
             y.len(),
             expected.n
         )),
-        (1, Reply::Solved { .. }) => Ok(true),
-        (2, Reply::PlanArtifact { bytes }) if bytes.starts_with(b"CHPL") => Ok(true),
+        (1, Reply::Solved { .. }) => Ok(()),
+        (2, Reply::PlanArtifact { bytes }) if bytes.starts_with(b"CHPL") => Ok(()),
         (2, Reply::PlanArtifact { .. }) => Err("plan artifact missing CHPL magic".to_string()),
-        (3, Reply::Stats(_)) => Ok(true),
-        (4, Reply::Updated { version, .. }) if *version > 0 => Ok(true),
+        (3, Reply::Stats(_)) => Ok(()),
+        (4, Reply::Updated { version, .. }) if *version > 0 => Ok(()),
         (4, Reply::Updated { .. }) => Err("update did not advance the version".to_string()),
         (_, Reply::Error { code, message }) => Err(format!("server error ({code:?}): {message}")),
         (slot, other) => Err(format!("slot {slot} got unexpected reply {other:?}")),
@@ -755,7 +629,7 @@ fn check_reply(reply: &Reply, expected: &Scheduled) -> Result<bool, String> {
 
 /// One blocking request/reply exchange on a raw stream, retrying `Busy`
 /// per the server's hint. Used for per-connection setup (matrix uploads)
-/// before the pipelined loop takes over the socket.
+/// before the request loop takes over the socket.
 fn setup_request(stream: &mut TcpStream, request: &Request) -> Result<Reply, ClientError> {
     loop {
         write_frame(stream, &encode_request(request))?;
@@ -769,14 +643,16 @@ fn setup_request(stream: &mut TcpStream, request: &Request) -> Result<Reply, Cli
     }
 }
 
-/// Drives one connection with up to `depth` requests in flight
-/// (closed-loop pipelining), or on a fixed arrival schedule when
-/// `interval` is set (open loop). Replies are matched FIFO: CHSP carries
-/// no sequence numbers because replies are strictly ordered per
-/// connection. `start_gate` lines every connection up after setup so the
-/// server really holds all of them open at once.
-#[allow(clippy::too_many_arguments)] // internal fan-out helper, mirrors run_connection
-fn run_connection_pipelined(
+/// Drives one connection with up to `depth` requests in flight, or on a
+/// fixed arrival schedule when `interval` is set (open loop). Depth 1 is
+/// the closed loop. Replies are matched FIFO: CHSP carries no sequence
+/// numbers because replies are strictly ordered per connection. A `Busy`
+/// reply puts its request back at the head of the schedule and holds
+/// every send until the server's `retry_after_ms` hint has elapsed.
+/// `start_gate` lines every connection up after setup so the server
+/// really holds all of them open at once.
+#[allow(clippy::too_many_arguments)] // internal fan-out helper
+fn run_connection(
     addr: &str,
     matrices: &[CooMatrix],
     requests: usize,
@@ -829,19 +705,27 @@ fn run_connection_pipelined(
         .collect();
     let mut in_flight: VecDeque<(Scheduled, Instant)> = VecDeque::new();
 
-    // Short read timeout: `FrameReader` keeps partial-frame progress
-    // across timeouts, so the loop can interleave scheduled sends with
-    // reply reads on one blocking socket.
+    // Short read timeout: the assembler keeps partial-frame progress
+    // across reads, so the loop can interleave scheduled sends with reply
+    // reads on one blocking socket.
     stream.set_read_timeout(Some(Duration::from_millis(2)))?;
-    let mut reader = FrameReader::new(DEFAULT_MAX_FRAME);
+    let mut assembler = FrameAssembler::new(DEFAULT_MAX_FRAME);
+    let mut replies: Vec<Vec<u8>> = Vec::new();
+    let mut chunk = vec![0u8; 16 * 1024];
     let started = Instant::now();
     let mut next_arrival = started;
+    // No send goes out before this instant: a `Busy` pushes it past the
+    // server's back-off hint.
+    let mut resume_at = started;
     while !(to_send.is_empty() && in_flight.is_empty()) {
         // Admit sends: closed loop tops the window up to `depth`; open
         // loop sends when the schedule says so (window-capped so unread
         // replies stay bounded).
         while !to_send.is_empty() && in_flight.len() < depth {
             let now = Instant::now();
+            if now < resume_at {
+                break;
+            }
             let sent_at = match interval {
                 Some(gap) => {
                     if now < next_arrival {
@@ -859,41 +743,64 @@ fn run_connection_pipelined(
             in_flight.push_back((scheduled, sent_at));
         }
         if in_flight.is_empty() {
-            // Open loop, ahead of schedule: nothing to read back yet.
-            thread::sleep(Duration::from_micros(200));
+            // Nothing to read back: sleep out the back-off, or the gap to
+            // the next open-loop arrival.
+            let wake = match interval {
+                Some(_) => resume_at.max(next_arrival),
+                None => resume_at,
+            };
+            thread::sleep(wake.saturating_duration_since(Instant::now()));
             continue;
         }
-        match reader.poll(&mut stream) {
-            Ok(FrameEvent::Frame(payload)) => {
-                #[allow(clippy::expect_used)] // non-empty checked above
-                let (expected, sent_at) = in_flight.pop_front().expect("in_flight is non-empty");
-                match decode_reply(&payload) {
-                    Ok(reply) => match check_reply(&reply, &expected) {
-                        Ok(true) => {
-                            outcome.latencies.push(sent_at.elapsed().as_micros() as u64);
-                            outcome.completed += 1;
-                            outcome.by_type[expected.slot] += 1;
-                        }
-                        Ok(false) => {
-                            // Shed: re-enqueue at the back, which spaces the
-                            // retry out behind the rest of the schedule.
-                            outcome.busy_retries += 1;
-                            to_send.push_back(expected);
-                        }
-                        Err(_) => outcome.protocol_errors += 1,
-                    },
-                    Err(_) => outcome.protocol_errors += 1,
-                }
-            }
-            Ok(FrameEvent::Timeout) => {}
-            Ok(FrameEvent::Eof) => {
+        let read = match stream.read(&mut chunk) {
+            Ok(0) => {
                 return Err(ClientError::Unexpected(format!(
                     "server closed the connection with {} replies outstanding",
                     in_flight.len()
                 )))
             }
-            Err(ProtoError::Io(e)) => return Err(ClientError::Io(e)),
-            Err(e) => return Err(ClientError::Proto(e)),
+            Ok(read) => read,
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    ErrorKind::WouldBlock | ErrorKind::TimedOut | ErrorKind::Interrupted
+                ) =>
+            {
+                continue
+            }
+            Err(e) => return Err(ClientError::Io(e)),
+        };
+        assembler.feed(&chunk[..read], &mut replies).map_err(|e| {
+            ClientError::Proto(ProtoError::FrameTooLarge {
+                len: e.len,
+                cap: e.cap,
+            })
+        })?;
+        for payload in replies.drain(..) {
+            let Some((expected, sent_at)) = in_flight.pop_front() else {
+                return Err(ClientError::Unexpected(
+                    "reply arrived with no request outstanding".to_string(),
+                ));
+            };
+            match decode_reply(&payload) {
+                Ok(Reply::Busy { retry_after_ms }) => {
+                    // Shed: re-send this request first, once the server's
+                    // back-off hint has elapsed.
+                    outcome.busy_retries += 1;
+                    resume_at =
+                        Instant::now() + Duration::from_millis(u64::from(retry_after_ms.max(1)));
+                    to_send.push_front(expected);
+                }
+                Ok(reply) => match check_reply(&reply, &expected) {
+                    Ok(()) => {
+                        outcome.latencies.push(sent_at.elapsed().as_micros() as u64);
+                        outcome.completed += 1;
+                        outcome.by_type[expected.slot] += 1;
+                    }
+                    Err(_) => outcome.protocol_errors += 1,
+                },
+                Err(_) => outcome.protocol_errors += 1,
+            }
         }
     }
     let _ = stream.shutdown(std::net::Shutdown::Both);
@@ -923,7 +830,6 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadgenReport, String> {
         return Err("--open-loop requires a positive arrival rate".to_string());
     }
     let depth = options.pipeline.max(1);
-    let pipelined = depth > 1 || options.open_loop_rps.is_some();
     // Open loop: split the aggregate arrival rate evenly across
     // connections.
     let interval = options
@@ -939,9 +845,9 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadgenReport, String> {
         (None, None) => unreachable!("local server started above"),
     };
     let matrices = workload_matrices(options.seed);
-    // Pipelined runs gate every connection's first request on all of them
-    // being connected, so the server demonstrably holds `connections`
-    // sockets open at once (the CI smoke asserts its high-water mark).
+    // Every connection's first request waits for all of them to be
+    // connected, so the server demonstrably holds `connections` sockets
+    // open at once (the CI smoke asserts its high-water mark).
     let start_gate = StartGate::new(connections);
     let started = Instant::now();
     let outcomes: Vec<Result<ConnOutcome, ClientError>> = thread::scope(|scope| {
@@ -964,21 +870,17 @@ pub fn run(options: &LoadgenOptions) -> Result<LoadgenReport, String> {
                 .name(format!("loadgen-{conn}"))
                 .stack_size(256 * 1024);
             let spawned = builder.spawn_scoped(scope, move || {
-                if pipelined {
-                    run_connection_pipelined(
-                        &addr,
-                        matrices,
-                        share,
-                        options.churn,
-                        options.router,
-                        rng,
-                        depth,
-                        interval,
-                        start_gate,
-                    )
-                } else {
-                    run_connection(&addr, matrices, share, options.churn, options.router, rng)
-                }
+                run_connection(
+                    &addr,
+                    matrices,
+                    share,
+                    options.churn,
+                    options.router,
+                    rng,
+                    depth,
+                    interval,
+                    start_gate,
+                )
             });
             if spawned.is_err() {
                 // This participant will never reach the start gate;
@@ -1273,6 +1175,97 @@ mod tests {
             "{}",
             report.elapsed_seconds
         );
+    }
+
+    /// A fake server that answers the setup uploads, sheds the first
+    /// workload request with `Busy { retry_after_ms: 50 }`, and returns at
+    /// the next frame: how long after the `Busy` went out it arrived, and
+    /// whether it repeats the shed request byte for byte.
+    fn shed_once_server(listener: std::net::TcpListener) -> (Duration, bool) {
+        let (mut stream, _) = listener.accept().expect("accept");
+        // Without it, Nagle holds the Busy payload back behind its header
+        // until the client's delayed ACK, which would pad the gap.
+        stream.set_nodelay(true).expect("nodelay");
+        let mut shed: Option<(Vec<u8>, Instant)> = None;
+        let mut handles = 0u64;
+        loop {
+            let Ok(payload) = read_frame_blocking(&mut stream, DEFAULT_MAX_FRAME) else {
+                panic!("connection closed before the shed request was re-sent");
+            };
+            let request = crate::proto::decode_request(&payload).expect("request decodes");
+            let reply = match request {
+                Request::LoadMatrix {
+                    rows,
+                    cols,
+                    triplets,
+                } => {
+                    handles += 1;
+                    Reply::Loaded {
+                        handle: handles,
+                        rows,
+                        cols,
+                        nnz: triplets.len() as u64,
+                        fresh: true,
+                        version: 0,
+                    }
+                }
+                _ if shed.is_none() => {
+                    write_frame(
+                        &mut stream,
+                        &crate::proto::encode_reply(&Reply::Busy { retry_after_ms: 50 }),
+                    )
+                    .expect("write busy");
+                    shed = Some((payload, Instant::now()));
+                    continue;
+                }
+                _ => {
+                    let (shed_payload, busy_at) = shed.take().expect("shed above");
+                    return (busy_at.elapsed(), shed_payload == payload);
+                }
+            };
+            write_frame(&mut stream, &crate::proto::encode_reply(&reply)).expect("write reply");
+        }
+    }
+
+    #[test]
+    fn busy_request_is_not_resent_before_its_hint() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("addr").to_string();
+        let server = thread::spawn(move || shed_once_server(listener));
+        // The fake server stops answering after the re-send, so the driver
+        // ends on a dropped connection; only the timing matters here.
+        let _ = run_connection(
+            &addr,
+            &workload_matrices(1),
+            2,
+            0,
+            false,
+            9,
+            1,
+            None,
+            &StartGate::new(1),
+        );
+        let (gap, same_request) = server.join().expect("fake server");
+        assert!(same_request, "the re-send must repeat the shed request");
+        assert!(
+            gap >= Duration::from_millis(50),
+            "re-sent {gap:?} after Busy {{ retry_after_ms: 50 }}"
+        );
+    }
+
+    #[test]
+    fn same_seed_depth_one_runs_report_identical_mixes() {
+        let options = LoadgenOptions {
+            connections: 2,
+            requests: 60,
+            seed: 21,
+            churn: 10,
+            ..LoadgenOptions::default()
+        };
+        let first = run(&options).expect("first run");
+        let second = run(&options).expect("second run");
+        assert_eq!(first.by_type, second.by_type);
+        assert_eq!(first.by_type.iter().sum::<u64>(), 60);
     }
 
     #[test]

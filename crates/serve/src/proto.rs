@@ -1238,124 +1238,6 @@ pub fn read_frame_blocking<R: Read>(reader: &mut R, max_len: usize) -> Result<Ve
     Ok(payload)
 }
 
-/// What one [`FrameReader::poll`] call produced.
-#[derive(Debug)]
-pub enum FrameEvent {
-    /// A complete frame payload.
-    Frame(Vec<u8>),
-    /// The peer closed the connection cleanly (EOF at a frame boundary).
-    Eof,
-    /// The socket's read timeout elapsed; partial progress is retained
-    /// and the next `poll` resumes where this one stopped.
-    Timeout,
-}
-
-/// Incremental frame reader for sockets with a read timeout.
-///
-/// A timeout mid-frame must not lose the bytes already read — the server
-/// polls in short ticks so it can notice shutdown — so this reader keeps
-/// partial header/payload progress across calls.
-#[derive(Debug)]
-pub struct FrameReader {
-    max_len: usize,
-    header: [u8; 4],
-    filled: usize,
-    payload: Vec<u8>,
-    payload_len: Option<usize>,
-}
-
-impl FrameReader {
-    /// Creates a reader enforcing `max_len` on every frame.
-    pub fn new(max_len: usize) -> Self {
-        FrameReader {
-            max_len,
-            header: [0; 4],
-            filled: 0,
-            payload: Vec::new(),
-            payload_len: None,
-        }
-    }
-
-    /// Whether a frame is partially read (EOF here is a mid-frame
-    /// disconnect, not a clean close).
-    pub fn mid_frame(&self) -> bool {
-        self.filled > 0 || self.payload_len.is_some()
-    }
-
-    /// Advances the read state machine by at most one socket read
-    /// timeout.
-    ///
-    /// # Errors
-    ///
-    /// [`ProtoError::FrameTooLarge`] for an over-cap declared length
-    /// (unrecoverable: the stream cannot be resynchronized);
-    /// [`ProtoError::Io`] for I/O failures other than timeouts, including
-    /// mid-frame EOF.
-    pub fn poll<R: Read>(&mut self, reader: &mut R) -> Result<FrameEvent, ProtoError> {
-        loop {
-            if let Some(len) = self.payload_len {
-                // Reading the payload.
-                let have = self.payload.len();
-                if have == len {
-                    let frame = std::mem::take(&mut self.payload);
-                    self.payload_len = None;
-                    self.filled = 0;
-                    return Ok(FrameEvent::Frame(frame));
-                }
-                let mut chunk = [0u8; 16 * 1024];
-                let want = (len - have).min(chunk.len());
-                match reader.read(&mut chunk[..want]) {
-                    Ok(0) => {
-                        return Err(ProtoError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-frame",
-                        )))
-                    }
-                    Ok(n) => self.payload.extend_from_slice(&chunk[..n]),
-                    Err(e) if is_timeout(&e) => return Ok(FrameEvent::Timeout),
-                    Err(e) => return Err(ProtoError::Io(e)),
-                }
-            } else {
-                // Reading the 4-byte length header.
-                match reader.read(&mut self.header[self.filled..]) {
-                    Ok(0) => {
-                        if self.filled == 0 {
-                            return Ok(FrameEvent::Eof);
-                        }
-                        return Err(ProtoError::Io(io::Error::new(
-                            io::ErrorKind::UnexpectedEof,
-                            "connection closed mid-header",
-                        )));
-                    }
-                    Ok(n) => {
-                        self.filled += n;
-                        if self.filled == 4 {
-                            let len = u32::from_le_bytes(self.header) as usize;
-                            if len > self.max_len {
-                                return Err(ProtoError::FrameTooLarge {
-                                    len: len as u64,
-                                    cap: self.max_len as u64,
-                                });
-                            }
-                            self.payload = Vec::with_capacity(len.min(1 << 20));
-                            self.payload_len = Some(len);
-                        }
-                    }
-                    Err(e) if is_timeout(&e) => return Ok(FrameEvent::Timeout),
-                    Err(e) => return Err(ProtoError::Io(e)),
-                }
-            }
-        }
-    }
-}
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(
-        e.kind(),
-        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1377,11 +1259,12 @@ mod tests {
             read_frame_blocking(&mut buf.as_slice(), 50).unwrap_err(),
             ProtoError::FrameTooLarge { len: 100, cap: 50 }
         ));
-        let mut reader = FrameReader::new(50);
-        assert!(matches!(
-            reader.poll(&mut buf.as_slice()).unwrap_err(),
-            ProtoError::FrameTooLarge { .. }
-        ));
+        let mut frames = Vec::new();
+        assert_eq!(
+            chason_net::FrameAssembler::new(50).feed(&buf, &mut frames),
+            Err(chason_net::FrameTooLarge { len: 100, cap: 50 })
+        );
+        assert!(frames.is_empty());
     }
 
     #[test]
@@ -1406,45 +1289,6 @@ mod tests {
         let mut buf = Vec::new();
         write_frame_capped(&mut buf, b"ok", usize::MAX).unwrap();
         assert_eq!(read_frame_blocking(&mut buf.as_slice(), 16).unwrap(), b"ok");
-    }
-
-    #[test]
-    fn incremental_reader_survives_byte_at_a_time_delivery() {
-        struct OneByte<'a>(&'a [u8]);
-        impl Read for OneByte<'_> {
-            fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-                if self.0.is_empty() {
-                    return Ok(0);
-                }
-                buf[0] = self.0[0];
-                self.0 = &self.0[1..];
-                Ok(1)
-            }
-        }
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"abc").unwrap();
-        write_frame(&mut wire, b"").unwrap();
-        let mut reader = FrameReader::new(16);
-        let mut src = OneByte(&wire);
-        match reader.poll(&mut src).unwrap() {
-            FrameEvent::Frame(f) => assert_eq!(f, b"abc"),
-            other => panic!("{other:?}"),
-        }
-        match reader.poll(&mut src).unwrap() {
-            FrameEvent::Frame(f) => assert!(f.is_empty()),
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(reader.poll(&mut src).unwrap(), FrameEvent::Eof));
-    }
-
-    #[test]
-    fn mid_frame_eof_is_an_error() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, b"abcdef").unwrap();
-        wire.truncate(6);
-        let mut reader = FrameReader::new(16);
-        let err = reader.poll(&mut wire.as_slice()).unwrap_err();
-        assert!(matches!(err, ProtoError::Io(_)), "{err}");
     }
 
     #[test]

@@ -2,17 +2,11 @@
 //!
 //! # Threading model
 //!
-//! The connection edge runs in one of two modes
-//! ([`ServeConfig::net`], `--net async|threads`), byte-identical at the
-//! wire:
-//!
-//! * **async** (default): a [`chason_net`] readiness event loop — one
-//!   accept thread plus one loop thread multiplex every connection,
-//!   reassemble frames incrementally, and allow request pipelining.
-//! * **threads**: the original thread-per-connection loop.
-//!
-//! Either way, `Stats`/`Metrics`/`Shutdown` are answered inline by the
-//! connection layer; everything else is pushed onto one bounded MPMC
+//! The connection edge is a [`chason_net`] readiness event loop: one
+//! accept thread plus one loop thread multiplex every connection,
+//! reassemble frames incrementally, and allow request pipelining.
+//! `Stats`/`Metrics`/`Shutdown` are answered inline by the connection
+//! layer; everything else is pushed onto one bounded MPMC
 //! queue feeding a fixed pool of worker threads. The queue is the
 //! backpressure boundary: when it is full, the front end replies
 //! [`Reply::Busy`] immediately (load-shedding) instead of blocking, so a
@@ -28,9 +22,7 @@
 //! layer has dropped its queue handle the workers drain what remains and
 //! exit: accepted work is always answered.
 
-use crate::frontend::{
-    start_async_frontend, threaded_listener_loop, ChspFrontend, EnqueueOutcome, Job,
-};
+use crate::frontend::{start_async_frontend, ChspFrontend, EnqueueOutcome, Job};
 use crate::proto::{
     Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
 };
@@ -39,11 +31,11 @@ use chason::solvers::{conjugate_gradient, jacobi, CgOptions, SpmvBackend};
 use chason_core::cache::LruCache;
 use chason_core::plan::{matrix_fingerprint, PlanKey, SpmvPlan};
 use chason_core::schedule::SchedulerConfig;
-use chason_net::{NetMode, NetServer};
+use chason_net::NetServer;
 use chason_sim::{AcceleratorConfig, ChasonEngine, PlanningEngine, SerpensEngine, SimError};
 use chason_sparse::{CooMatrix, CowCsr, MatrixDelta};
 use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -67,8 +59,6 @@ pub struct ServeConfig {
     /// How long a connection may sit idle (no frame progress) before the
     /// server hangs up.
     pub idle_timeout: Duration,
-    /// Per-connection write timeout.
-    pub write_timeout: Duration,
     /// Largest accepted frame payload.
     pub max_frame_len: usize,
     /// Most same-matrix SpMV requests one worker dequeue may batch.
@@ -77,8 +67,6 @@ pub struct ServeConfig {
     pub retry_after_ms: u32,
     /// Scheduler configuration both simulated engines run under.
     pub sched: SchedulerConfig,
-    /// Which connection front end to run (`--net async|threads`).
-    pub net: NetMode,
 }
 
 impl Default for ServeConfig {
@@ -90,12 +78,10 @@ impl Default for ServeConfig {
             plan_cache_capacity: 64,
             matrix_cache_capacity: 32,
             idle_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(10),
             max_frame_len: DEFAULT_MAX_FRAME,
             batch_max: 8,
             retry_after_ms: 20,
             sched: SchedulerConfig::paper(),
-            net: NetMode::default(),
         }
     }
 }
@@ -193,9 +179,9 @@ impl Shared {
 }
 
 /// The serve daemon's [`ChspFrontend`]: inline replies from [`Shared`],
-/// the worker queue sender. Held only by the connection layer (threaded
-/// listener or async service), so dropping that layer drops the last
-/// queue sender and lets the workers drain and exit.
+/// the worker queue sender. Held only by the connection layer, so
+/// dropping that layer drops the last queue sender and lets the workers
+/// drain and exit.
 struct ServeFrontend {
     shared: Arc<Shared>,
     job_tx: Sender<Job>,
@@ -250,10 +236,6 @@ impl ChspFrontend for ServeFrontend {
         self.shared.config.idle_timeout
     }
 
-    fn write_timeout(&self) -> Duration {
-        self.shared.config.write_timeout
-    }
-
     fn max_frame_len(&self) -> usize {
         self.shared.config.max_frame_len
     }
@@ -263,14 +245,13 @@ impl ChspFrontend for ServeFrontend {
 pub struct Server {
     local_addr: SocketAddr,
     shared: Arc<Shared>,
-    listener_thread: Option<JoinHandle<()>>,
-    net: Option<NetServer>,
+    net: NetServer,
     workers: Vec<JoinHandle<()>>,
 }
 
 impl Server {
-    /// Binds, spawns the worker pool and the configured connection front
-    /// end, and returns immediately.
+    /// Binds, spawns the worker pool and the connection front end, and
+    /// returns immediately.
     ///
     /// # Errors
     ///
@@ -309,22 +290,10 @@ impl Server {
             shared: Arc::clone(&shared),
             job_tx,
         });
-        let (listener_thread, net) = match config.net {
-            NetMode::Async => {
-                let net = start_async_frontend(listener, frontend, shared.stats.registry())?;
-                (None, Some(net))
-            }
-            NetMode::Threads => {
-                let listener_thread = thread::Builder::new()
-                    .name("chason-listener".to_string())
-                    .spawn(move || threaded_listener_loop(&listener, &frontend, "chason-conn"))?;
-                (Some(listener_thread), None)
-            }
-        };
+        let net = start_async_frontend(listener, frontend, shared.stats.registry())?;
         Ok(Server {
             local_addr,
             shared,
-            listener_thread,
             net,
             workers: worker_handles,
         })
@@ -343,43 +312,18 @@ impl Server {
     /// Initiates the same graceful drain a `Shutdown` request does.
     pub fn shutdown(&self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        match &self.net {
-            Some(net) => net.shutdown(),
-            // Nudge the threaded listener out of `accept`.
-            None => {
-                let _ = TcpStream::connect(self.local_addr);
-            }
-        }
+        self.net.shutdown();
     }
 
     /// Blocks until the connection front end, every connection, and every
     /// worker have exited. Call [`shutdown`](Self::shutdown) first (or
     /// send a `Shutdown` request) or this blocks forever.
-    pub fn join(mut self) {
-        if let Some(listener) = self.listener_thread.take() {
-            let _ = listener.join();
-        }
-        if let Some(net) = self.net.take() {
-            net.join();
-        }
-        for worker in self.workers.drain(..) {
+    pub fn join(self) {
+        self.net.join();
+        for worker in self.workers {
             let _ = worker.join();
         }
     }
-}
-
-fn record_accepted_kind(shared: &Shared, request: &Request) {
-    let counter = match request {
-        Request::LoadMatrix { .. } => &shared.stats.requests.load,
-        Request::Spmv { .. } => &shared.stats.requests.spmv,
-        Request::Solve { .. } => &shared.stats.requests.solve,
-        Request::Plan { .. } => &shared.stats.requests.plan,
-        Request::Sleep { .. } => &shared.stats.requests.sleep,
-        Request::Update { .. } => &shared.stats.requests.update,
-        // Served inline, counted there.
-        Request::Stats | Request::Metrics | Request::Shutdown => return,
-    };
-    counter.add(1);
 }
 
 // ---------------------------------------------------------------------------
@@ -428,7 +372,7 @@ fn worker_loop(shared: &Arc<Shared>, rx: &Receiver<Job>) {
 }
 
 fn run_job(shared: &Arc<Shared>, job: Job) {
-    record_accepted_kind(shared, &job.request);
+    shared.stats.requests.record_accepted(&job.request);
     // Queue wait (enqueue to dequeue) and execution time feed separate
     // histograms: summing them into one "service time" conflates queue
     // pressure with execution cost and made service_p99 track load, not

@@ -10,7 +10,7 @@
 //! estimates clamped to the exact observed maximum, over the full history
 //! rather than a sliding window.
 
-use crate::proto::StatsSnapshot;
+use crate::proto::{Request, StatsSnapshot};
 use chason_core::cache::CacheStats;
 use chason_telemetry::metrics::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
@@ -18,7 +18,9 @@ use std::time::Instant;
 
 pub use chason_telemetry::lock_unpoisoned;
 
-/// Request-type counters a connection thread bumps when it accepts work.
+/// Request-type counters: queued kinds are counted when a worker accepts
+/// them ([`RequestCounters::record_accepted`]), inline kinds where they
+/// are answered.
 #[derive(Debug)]
 pub struct RequestCounters {
     /// `LoadMatrix` accepted (`chsp_requests_load_total`).
@@ -51,6 +53,22 @@ impl RequestCounters {
             metrics: registry.counter("chsp_requests_metrics_total"),
             update: registry.counter("chsp_requests_update_total"),
         }
+    }
+
+    /// Counts one queued request a worker accepted. `Stats`, `Metrics`
+    /// and `Shutdown` are served inline and counted there, so they are
+    /// ignored here.
+    pub fn record_accepted(&self, request: &Request) {
+        let counter = match request {
+            Request::LoadMatrix { .. } => &self.load,
+            Request::Spmv { .. } => &self.spmv,
+            Request::Solve { .. } => &self.solve,
+            Request::Plan { .. } => &self.plan,
+            Request::Sleep { .. } => &self.sleep,
+            Request::Update { .. } => &self.update,
+            Request::Stats | Request::Metrics | Request::Shutdown => return,
+        };
+        counter.add(1);
     }
 }
 

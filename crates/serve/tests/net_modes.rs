@@ -1,25 +1,22 @@
-//! `--net` dual-mode coverage: the async readiness loop (the default) and
-//! the classic thread-per-connection listener must behave identically at
-//! the wire — including idle-timeout accounting, where the clock resets
-//! on any *completed* frame (a reply going out), not only on request
-//! dispatch. A request that runs longer than the idle timeout must still
-//! get its reply, and the connection must stay usable afterwards.
+//! Idle-timeout accounting of the event-loop connection layer: the clock
+//! resets on any *completed* frame (a reply going out), not only on
+//! request dispatch. A request that runs longer than the idle timeout
+//! must still get its reply, and the connection must stay usable
+//! afterwards; a connection with no traffic at all is still reaped.
 
 use chason_serve::proto::{
     decode_reply, encode_request, read_frame_blocking, write_frame, Reply, Request,
     DEFAULT_MAX_FRAME,
 };
 use chason_serve::server::{ServeConfig, Server};
-use chason_serve::NetMode;
 use std::net::TcpStream;
 use std::thread;
 use std::time::Duration;
 
-fn start_with(net: NetMode, idle_timeout: Duration) -> Server {
+fn start_with(idle_timeout: Duration) -> Server {
     Server::start(ServeConfig {
         workers: 2,
         idle_timeout,
-        net,
         ..ServeConfig::default()
     })
     .expect("server binds an ephemeral port")
@@ -37,8 +34,9 @@ fn raw_round_trip(stream: &mut TcpStream, request: &Request) -> Reply {
 /// its reply completes, not when the request was dispatched: a follow-up
 /// sent within one timeout of the *reply* (but more than one timeout
 /// after the dispatch) still succeeds.
-fn long_request_then_followup(net: NetMode) {
-    let server = start_with(net, Duration::from_millis(600));
+#[test]
+fn async_idle_clock_resets_on_completed_frames() {
+    let server = start_with(Duration::from_millis(600));
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
 
     // Sleep 500 ms: most of the idle window burns while the worker runs.
@@ -56,20 +54,11 @@ fn long_request_then_followup(net: NetMode) {
     server.join();
 }
 
-#[test]
-fn async_idle_clock_resets_on_completed_frames() {
-    long_request_then_followup(NetMode::Async);
-}
-
-#[test]
-fn threads_idle_clock_resets_on_completed_frames() {
-    long_request_then_followup(NetMode::Threads);
-}
-
 /// The reset-on-completion fix must not break reaping itself: a
 /// connection with no traffic at all is still closed after the timeout.
-fn silent_connection_is_reaped(net: NetMode) {
-    let server = start_with(net, Duration::from_millis(250));
+#[test]
+fn async_silent_connection_is_reaped() {
+    let server = start_with(Duration::from_millis(250));
     let addr = server.local_addr().to_string();
     let mut stream = TcpStream::connect(&addr).expect("connect");
     thread::sleep(Duration::from_millis(1000));
@@ -83,35 +72,5 @@ fn silent_connection_is_reaped(net: NetMode) {
     let mut fresh = TcpStream::connect(&addr).expect("reconnect");
     let reply = raw_round_trip(&mut fresh, &Request::Shutdown);
     assert!(matches!(reply, Reply::Done), "{reply:?}");
-    server.join();
-}
-
-#[test]
-fn async_silent_connection_is_reaped() {
-    silent_connection_is_reaped(NetMode::Async);
-}
-
-#[test]
-fn threads_silent_connection_is_reaped() {
-    silent_connection_is_reaped(NetMode::Threads);
-}
-
-/// With async now the default, the threaded listener keeps explicit
-/// happy-path coverage of its own.
-#[test]
-fn threads_mode_serves_the_happy_path() {
-    let server = start_with(NetMode::Threads, Duration::from_secs(30));
-    let addr = server.local_addr().to_string();
-    let mut client = chason_serve::client::Client::connect(&addr).expect("connect");
-    let matrix = chason_testutil::spd_system(24, 3).0;
-    let (handle, fresh) = client.load_matrix(&matrix).expect("load");
-    assert!(fresh);
-    let (y, _, _) = client
-        .spmv(handle, chason_serve::proto::Engine::Chason, vec![1.0; 24])
-        .expect("spmv");
-    assert_eq!(y.len(), 24);
-    let stats = client.stats().expect("stats");
-    assert_eq!(stats.requests_spmv, 1);
-    client.shutdown().expect("shutdown");
     server.join();
 }
