@@ -5,6 +5,7 @@ use crate::args::Args;
 use crate::commands::scheduler_config;
 use chason_router::{Router, RouterConfig};
 use chason_serve::client::{Client, ClientError, RetryPolicy};
+use chason_serve::frontend::IDLE_TIMEOUT;
 use chason_serve::loadgen::{self, LoadgenOptions};
 use chason_serve::proto::{Engine, SolverKind};
 use chason_serve::server::{ServeConfig, Server};
@@ -83,11 +84,12 @@ pub fn serve(args: &Args) -> Result<(), String> {
         queue_capacity: args.get_or("queue", 64usize)?,
         plan_cache_capacity: args.get_or("plan-cache", 64usize)?,
         matrix_cache_capacity: args.get_or("matrix-cache", 32usize)?,
-        idle_timeout: Duration::from_secs(args.get_or("idle-timeout-secs", 30u64)?),
+        idle_timeout: Duration::from_secs(
+            args.get_or("idle-timeout-secs", IDLE_TIMEOUT.as_secs())?,
+        ),
         batch_max: args.get_or("batch-max", 8usize)?,
         retry_after_ms: args.get_or("retry-after-ms", 20u32)?,
         sched: scheduler_config(args)?,
-        ..ServeConfig::default()
     };
     let server = Server::start(config).map_err(|e| format!("cannot start server: {e}"))?;
     println!("chason serve listening on {}", server.local_addr());
@@ -130,7 +132,6 @@ pub fn route(args: &Args) -> Result<(), String> {
         },
         health_interval: Duration::from_millis(args.get_or("health-interval-ms", 2000u64)?),
         shutdown_shards: args.has_flag("shutdown-shards"),
-        ..RouterConfig::default()
     };
     let router = Router::start(config).map_err(|e| format!("cannot start router: {e}"))?;
     println!("chason route listening on {}", router.local_addr());

@@ -1,17 +1,19 @@
-//! The `chason route` frontend: event-loop connection layer, worker
-//! pool, scatter-gather executors, and the shard health checker.
+//! The `chason route` daemon: scatter-gather executors and the shard
+//! health checker.
 //!
 //! # Threading model
 //!
-//! The shape mirrors `chason serve` deliberately — the shared
-//! [`chason_net`] event loop for every client connection, a bounded MPMC
-//! queue feeding a fixed worker pool, `Stats`/`Metrics`/`Shutdown`
-//! answered inline, `Busy` shed when the queue is full — so a router
-//! drops into any deployment script that already drives a server. The difference is inside the workers: instead
-//! of executing kernels, each worker owns one pooled
-//! [`ShardConn`](crate::shards::ShardConn) per backend and scatters
-//! sub-requests across them with scoped threads, so an N-shard fan-out
-//! costs one round trip, not N.
+//! The router runs on the same [`Frontend`] skeleton as `chason serve`
+//! (event loop, bounded queue, worker pool, inline
+//! `Stats`/`Metrics`/`Shutdown`, `Busy` shedding, drain), so a router
+//! drops into any deployment script that already drives a server. What
+//! it supplies as a [`Daemon`] is the difference inside the workers:
+//! instead of executing kernels, each worker owns one pooled
+//! [`ShardConn`] per backend (rebuilt after a
+//! panic, which may have left one mid-frame) and scatters sub-requests
+//! across them with scoped threads, so an N-shard fan-out costs one round
+//! trip, not N. A wire `Shutdown` is forwarded to every shard before
+//! `Done` when [`RouterConfig::shutdown_shards`] is set.
 //!
 //! # Consistency
 //!
@@ -29,20 +31,15 @@ use crate::stats::RouterStats;
 use chason::solvers::{conjugate_gradient, jacobi, CgOptions, SpmvBackend};
 use chason_core::cache::{CacheStats, LruCache};
 use chason_core::plan::matrix_fingerprint;
-use chason_net::NetServer;
+use chason_net::LoopHandle;
 use chason_serve::client::{Client, RetryPolicy};
-use chason_serve::frontend::{start_async_frontend, ChspFrontend, EnqueueOutcome, Job};
-use chason_serve::proto::{
-    Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
-};
-use chason_serve::stats::lock_unpoisoned;
+use chason_serve::frontend::{bad_request, unknown_handle, Daemon, Frontend, IDLE_TIMEOUT};
+use chason_serve::proto::{Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot};
+use chason_serve::stats::{lock_unpoisoned, ServerStats};
 use chason_sim::SimError;
 use chason_sparse::shard::ShardSpec;
 use chason_sparse::{CooMatrix, MatrixDelta};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use std::net::{SocketAddr, TcpListener};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -64,11 +61,6 @@ pub struct RouterConfig {
     /// Sharded-resident table capacity (matrices the router can route
     /// without a reload).
     pub matrix_cache_capacity: usize,
-    /// How long a client connection may sit idle before the router hangs
-    /// up.
-    pub idle_timeout: Duration,
-    /// Largest accepted frame payload.
-    pub max_frame_len: usize,
     /// Back-off hint carried by [`Reply::Busy`] when the router itself
     /// sheds.
     pub retry_after_ms: u32,
@@ -90,8 +82,6 @@ impl Default for RouterConfig {
             workers: 4,
             queue_capacity: 64,
             matrix_cache_capacity: 32,
-            idle_timeout: Duration::from_secs(30),
-            max_frame_len: DEFAULT_MAX_FRAME,
             retry_after_ms: 20,
             shard_retry: RetryPolicy::default(),
             health_interval: Duration::from_secs(2),
@@ -100,9 +90,9 @@ impl Default for RouterConfig {
     }
 }
 
-/// How often the health-checker sleep wakes up to re-check the shutdown
+/// How often the health-checker sleep wakes up to re-check the drain
 /// flag.
-const READ_TICK: Duration = Duration::from_millis(100);
+const HEALTH_TICK: Duration = Duration::from_millis(100);
 
 /// One sharded matrix the router can route: the full-matrix source of
 /// truth (the solver outer loops and update validation need it), the
@@ -132,11 +122,19 @@ struct Shared {
     residents: Mutex<LruCache<u64, ShardedResident>>,
     stats: RouterStats,
     health: Arc<HealthBoard>,
-    shutdown: AtomicBool,
     config: RouterConfig,
 }
 
-impl Shared {
+impl Daemon for Shared {
+    /// Each worker owns its own connection pool, so concurrent scatters
+    /// from different workers never contend on a socket lock.
+    type Worker = Vec<ShardConn>;
+    const NAME: &'static str = "router";
+
+    fn stats(&self) -> &ServerStats {
+        &self.stats.inner
+    }
+
     /// Router stats reuse the server snapshot layout; the plan-cache
     /// words are zero (plans live on the shards) and the matrix words
     /// describe the sharded-resident table.
@@ -158,83 +156,43 @@ impl Shared {
             .inner
             .render_exposition(CacheStats::default(), m.len as u64, m.evictions)
     }
-}
-
-/// The router's [`ChspFrontend`]: inline replies from [`Shared`], the
-/// worker queue sender, and the shard fan-out on a wire `Shutdown`. Held
-/// only by the connection layer, so dropping that layer drops the last
-/// queue sender and lets the workers drain and exit.
-struct RouterFrontend {
-    shared: Arc<Shared>,
-    job_tx: Sender<Job>,
-}
-
-impl ChspFrontend for RouterFrontend {
-    fn stats_reply(&self) -> Reply {
-        self.shared.stats.inner.requests.stats.add(1);
-        Reply::Stats(self.shared.snapshot())
-    }
-
-    fn metrics_reply(&self) -> Reply {
-        self.shared.stats.inner.requests.metrics.add(1);
-        Reply::MetricsText {
-            text: self.shared.exposition(),
-        }
-    }
 
     fn on_wire_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        if self.shared.config.shutdown_shards {
+        if self.config.shutdown_shards {
             // Forward before acknowledging so "client shutdown; wait for
             // the router pid" is a complete drain of the whole deployment.
-            forward_shutdown(&self.shared);
+            forward_shutdown(self);
         }
     }
 
-    fn is_draining(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
+    fn worker(&self, index: usize) -> Vec<ShardConn> {
+        self.config
+            .shards
+            .iter()
+            .enumerate()
+            .map(|(k, addr)| {
+                ShardConn::new(
+                    k,
+                    addr.clone(),
+                    self.config.shard_retry,
+                    self.config.shard_retry.seed ^ ((index as u64) << 32) ^ k as u64,
+                    Arc::clone(&self.health),
+                    Arc::clone(&self.stats.shard_requests[k]),
+                    Arc::clone(&self.stats.shard_retries),
+                    Arc::clone(&self.stats.shard_reconnects),
+                )
+            })
+            .collect()
     }
 
-    fn draining_message(&self) -> String {
-        "router is draining".to_string()
-    }
-
-    fn retry_after_ms(&self) -> u32 {
-        self.shared.config.retry_after_ms
-    }
-
-    fn enqueue(&self, job: Job) -> EnqueueOutcome {
-        match self.job_tx.try_send(job) {
-            Ok(()) => {
-                self.shared
-                    .stats
-                    .inner
-                    .observe_queue_depth(self.job_tx.len() as u64);
-                EnqueueOutcome::Accepted
-            }
-            Err(TrySendError::Full(_)) => {
-                self.shared.stats.inner.shed.add(1);
-                EnqueueOutcome::Shed
-            }
-            Err(TrySendError::Disconnected(_)) => EnqueueOutcome::Disconnected,
-        }
-    }
-
-    fn idle_timeout(&self) -> Duration {
-        self.shared.config.idle_timeout
-    }
-
-    fn max_frame_len(&self) -> usize {
-        self.shared.config.max_frame_len
+    fn execute(&self, conns: &mut Vec<ShardConn>, request: Request) -> Reply {
+        execute(self, conns, request)
     }
 }
 
 /// A running `chason route` instance.
 pub struct Router {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    net: NetServer,
-    workers: Vec<JoinHandle<()>>,
+    frontend: Frontend<Shared>,
     health_thread: JoinHandle<()>,
 }
 
@@ -253,58 +211,51 @@ impl Router {
                 "router requires at least one shard address",
             ));
         }
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             residents: Mutex::new(LruCache::new(config.matrix_cache_capacity)),
             stats: RouterStats::new(config.shards.len()),
             health: Arc::new(HealthBoard::new(config.shards.len())),
-            shutdown: AtomicBool::new(false),
             config: config.clone(),
         });
-        let (job_tx, job_rx) = channel::bounded::<Job>(config.queue_capacity);
-        let worker_handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = job_rx.clone();
-                thread::Builder::new()
-                    .name(format!("chason-router-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx, i as u64))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        drop(job_rx);
-        let health_shared = Arc::clone(&shared);
-        let health_thread = thread::Builder::new()
+        let frontend = Frontend::start(
+            &config.addr,
+            Arc::clone(&shared),
+            config.workers,
+            config.queue_capacity,
+            config.retry_after_ms,
+            IDLE_TIMEOUT,
+        )?;
+        let drain = frontend.drain_handle();
+        let health_thread = match thread::Builder::new()
             .name("chason-router-health".to_string())
-            .spawn(move || health_loop(&health_shared))?;
-        let frontend = Arc::new(RouterFrontend {
-            shared: Arc::clone(&shared),
-            job_tx,
-        });
-        let net = start_async_frontend(listener, frontend, shared.stats.inner.registry())?;
+            .spawn(move || health_loop(&shared, &drain))
+        {
+            Ok(thread) => thread,
+            Err(err) => {
+                frontend.shutdown();
+                frontend.join();
+                return Err(err);
+            }
+        };
         Ok(Router {
-            local_addr,
-            shared,
-            net,
-            workers: worker_handles,
+            frontend,
             health_thread,
         })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.frontend.local_addr()
     }
 
     /// A point-in-time copy of the router's counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.snapshot()
+        self.frontend.daemon().snapshot()
     }
 
     /// Shards currently marked up by the health board.
     pub fn shards_up(&self) -> usize {
-        self.shared.health.up_count()
+        self.frontend.daemon().health.up_count()
     }
 
     /// Initiates a graceful drain of the router itself. Shards are left
@@ -313,8 +264,7 @@ impl Router {
     /// [`shutdown_shards`](RouterConfig::shutdown_shards) set tears the
     /// backends down too.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.net.shutdown();
+        self.frontend.shutdown();
     }
 
     /// Blocks until the connection front end, every connection, every
@@ -322,10 +272,7 @@ impl Router {
     /// [`shutdown`](Self::shutdown) first (or send a `Shutdown` request)
     /// or this blocks forever.
     pub fn join(self) {
-        self.net.join();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
+        self.frontend.join();
         let _ = self.health_thread.join();
     }
 }
@@ -337,74 +284,6 @@ fn forward_shutdown(shared: &Shared) {
         if let Ok(mut client) = Client::connect(addr.as_str()) {
             let _ = client.request(&Request::Shutdown);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Workers
-// ---------------------------------------------------------------------------
-
-fn worker_loop(shared: &Arc<Shared>, rx: &Receiver<Job>, worker_index: u64) {
-    // Each worker owns its own connection pool, so concurrent scatters
-    // from different workers never contend on a socket lock.
-    let mut conns: Vec<ShardConn> = shared
-        .config
-        .shards
-        .iter()
-        .enumerate()
-        .map(|(k, addr)| {
-            ShardConn::new(
-                k,
-                addr.clone(),
-                shared.config.shard_retry,
-                shared.config.shard_retry.seed ^ (worker_index << 32) ^ k as u64,
-                Arc::clone(&shared.health),
-                Arc::clone(&shared.stats.shard_requests[k]),
-                Arc::clone(&shared.stats.shard_retries),
-                Arc::clone(&shared.stats.shard_reconnects),
-            )
-        })
-        .collect();
-    while let Ok(job) = rx.recv() {
-        shared.stats.inner.requests.record_accepted(&job.request);
-        shared
-            .stats
-            .inner
-            .record_queue_wait_micros(job.received.elapsed().as_micros() as u64);
-        let started = Instant::now();
-        let reply = catch_unwind(AssertUnwindSafe(|| {
-            execute(shared, &mut conns, job.request)
-        }))
-        .unwrap_or_else(|_| {
-            // A panic may have left a shard connection mid-frame; drop
-            // them all so the next request starts clean.
-            for conn in &mut conns {
-                conn.disconnect();
-            }
-            Reply::Error {
-                code: ErrorCode::Internal,
-                message: "request execution panicked".to_string(),
-            }
-        });
-        shared
-            .stats
-            .inner
-            .record_service_micros(started.elapsed().as_micros() as u64);
-        job.reply_tx.send(&reply);
-    }
-}
-
-fn bad_request(message: impl Into<String>) -> Reply {
-    Reply::Error {
-        code: ErrorCode::BadRequest,
-        message: message.into(),
-    }
-}
-
-fn unknown_handle(handle: u64) -> Reply {
-    Reply::Error {
-        code: ErrorCode::UnknownHandle,
-        message: format!("no sharded matrix with handle {handle:#018x}; send LoadMatrix first"),
     }
 }
 
@@ -756,7 +635,7 @@ fn execute_spmv(
     x: &[f32],
 ) -> Reply {
     let Some(resident) = lock_unpoisoned(&shared.residents).get(&handle).cloned() else {
-        return unknown_handle(handle);
+        return unknown_handle("sharded", handle);
     };
     if x.len() != resident.matrix.cols() {
         return bad_request(format!(
@@ -832,7 +711,7 @@ fn execute_solve(
     b: &[f32],
 ) -> Reply {
     let Some(resident) = lock_unpoisoned(&shared.residents).get(&handle).cloned() else {
-        return unknown_handle(handle);
+        return unknown_handle("sharded", handle);
     };
     let matrix = Arc::clone(&resident.matrix);
     // Same ahead-of-time validation as a single server: the solvers
@@ -921,7 +800,7 @@ fn execute_update(
     // loads/updates cannot interleave with a half-applied delta.
     let mut residents = lock_unpoisoned(&shared.residents);
     let Some(resident) = residents.get(&handle).cloned() else {
-        return unknown_handle(handle);
+        return unknown_handle("sharded", handle);
     };
     // Validate the whole delta against the full matrix up front: a
     // rejected op must not reach any shard, or the fleet diverges.
@@ -1112,12 +991,13 @@ fn execute_update(
 
 /// Periodically pings every shard with `Stats` over its own persistent
 /// connections, updating the board and the per-shard gauges. Sleeps in
-/// [`READ_TICK`] increments so shutdown is prompt.
-fn health_loop(shared: &Arc<Shared>) {
+/// [`HEALTH_TICK`] increments so it stops promptly once `drain` reports
+/// the router draining.
+fn health_loop(shared: &Shared, drain: &LoopHandle) {
     let mut clients: Vec<Option<Client>> = shared.config.shards.iter().map(|_| None).collect();
     loop {
         for (k, slot) in clients.iter_mut().enumerate() {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if drain.is_draining() {
                 return;
             }
             if slot.is_none() {
@@ -1145,11 +1025,11 @@ fn health_loop(shared: &Arc<Shared>) {
         }
         let mut slept = Duration::ZERO;
         while slept < shared.config.health_interval {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if drain.is_draining() {
                 return;
             }
-            thread::sleep(READ_TICK);
-            slept += READ_TICK;
+            thread::sleep(HEALTH_TICK);
+            slept += HEALTH_TICK;
         }
     }
 }

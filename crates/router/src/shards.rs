@@ -176,11 +176,6 @@ impl ShardConn {
         &self.addr
     }
 
-    /// Drops the pooled connection (the next call reconnects).
-    pub fn disconnect(&mut self) {
-        self.client = None;
-    }
-
     fn error(&self, kind: ShardErrorKind) -> ShardError {
         ShardError {
             shard: self.index,

@@ -1,15 +1,17 @@
 //! Router failure modes over real sockets: a shard down at load time, a
-//! shard dying between solves, and out-of-band shard mutation detected as
-//! version skew. In every case the failure must surface as a typed CHSP
-//! error and the router must keep serving.
+//! shard dying between solves, out-of-band shard mutation detected as
+//! version skew, and the router's own queue overflowing. In every case the
+//! failure must surface as a typed CHSP reply and the router must keep
+//! serving.
 
 use chason_core::plan::matrix_fingerprint;
 use chason_router::{Router, RouterConfig};
 use chason_serve::client::{Client, ClientError, RetryPolicy};
-use chason_serve::proto::{Engine, ErrorCode, SolverKind};
+use chason_serve::proto::{Engine, ErrorCode, Reply, Request, SolverKind};
 use chason_serve::server::{ServeConfig, Server};
 use chason_sparse::shard::ShardSpec;
 use chason_testutil::spd_system;
+use std::thread;
 use std::time::Duration;
 
 fn start_shard() -> Server {
@@ -197,4 +199,55 @@ fn out_of_band_shard_update_is_detected_as_version_skew() {
         s.shutdown();
         s.join();
     }
+}
+
+#[test]
+fn full_router_queue_sheds_with_busy_and_keeps_the_connection() {
+    let shard = start_shard();
+    let router = Router::start(RouterConfig {
+        shards: vec![shard.local_addr().to_string()],
+        workers: 1,
+        queue_capacity: 1,
+        retry_after_ms: 7,
+        ..RouterConfig::default()
+    })
+    .expect("router binds an ephemeral port");
+    let addr = router.local_addr();
+
+    // Occupy the single worker (Sleep runs in the router itself)…
+    let w1 = thread::spawn(move || {
+        Client::connect(addr)
+            .expect("connect")
+            .sleep(600)
+            .expect("sleep 1")
+    });
+    thread::sleep(Duration::from_millis(150));
+    // …and fill the single queue slot.
+    let w2 = thread::spawn(move || {
+        Client::connect(addr)
+            .expect("connect")
+            .sleep(600)
+            .expect("sleep 2")
+    });
+    thread::sleep(Duration::from_millis(150));
+
+    let mut probe = Client::connect(addr).expect("connect");
+    match probe
+        .request(&Request::Sleep { millis: 1 })
+        .expect("request")
+    {
+        Reply::Busy { retry_after_ms } => assert_eq!(retry_after_ms, 7),
+        other => panic!("expected Busy, got {other:?}"),
+    }
+    // Shedding must not cost the connection: Stats still answers on it and
+    // records the shed.
+    let stats = probe.stats().expect("stats after Busy");
+    assert!(stats.shed >= 1, "{stats:?}");
+
+    w1.join().expect("sleeper 1");
+    w2.join().expect("sleeper 2");
+    probe.shutdown().expect("router shutdown");
+    router.join();
+    shard.shutdown();
+    shard.join();
 }

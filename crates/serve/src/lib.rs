@@ -13,10 +13,11 @@
 //! The pieces:
 //!
 //! * [`proto`] — wire format: frames, requests, replies.
-//! * [`frontend`] — the connection contract both CHSP daemons share, run
-//!   on the [`chason_net`] readiness event loop.
-//! * [`server`] — [`Server`](server::Server): event-loop front end,
-//!   worker pool, shared caches, graceful drain.
+//! * [`frontend`] — the daemon skeleton both CHSP daemons run on: the
+//!   [`chason_net`] readiness event loop, bounded queue, worker pool,
+//!   shedding and drain.
+//! * [`server`] — [`Server`]: shared caches, executors and
+//!   same-matrix batching on that skeleton.
 //! * [`client`] — blocking [`Client`](client::Client) with typed helpers.
 //! * [`loadgen`] — deterministic load generator (`chason loadgen`):
 //!   closed loop at pipeline depth 1, pipelined or open loop above it.

@@ -1,45 +1,38 @@
-//! The `chason serve` daemon: connection front end plus worker pool.
+//! The `chason serve` daemon: resident matrices, schedule plans, and the
+//! executors behind every queued request.
 //!
 //! # Threading model
 //!
-//! The connection edge is a [`chason_net`] readiness event loop: one
-//! accept thread plus one loop thread multiplex every connection,
-//! reassemble frames incrementally, and allow request pipelining.
-//! `Stats`/`Metrics`/`Shutdown` are answered inline by the connection
-//! layer; everything else is pushed onto one bounded MPMC
-//! queue feeding a fixed pool of worker threads. The queue is the
-//! backpressure boundary: when it is full, the front end replies
-//! [`Reply::Busy`] immediately (load-shedding) instead of blocking, so a
-//! saturated server stays responsive and observable — `Stats` never
-//! queues. The shared connection-layer logic lives in
-//! [`crate::frontend`].
+//! The event loop, the bounded job queue, the worker pool, shedding and
+//! the drain are the shared [`Frontend`] skeleton (see
+//! [`crate::frontend`]); `Stats`/`Metrics`/`Shutdown` never queue, so a
+//! saturated server stays responsive and observable. This module
+//! supplies the serve half of [`Daemon`]: the `Stats`/`Metrics` bodies
+//! over its caches, the executors, and same-matrix SpMV batching — one
+//! dequeued `Spmv` takes its queued twins off the front of the queue, so
+//! matrix and plan resolve once per batch.
 //!
 //! # Shutdown
 //!
-//! `Shutdown` (or [`Server::shutdown`]) flips a flag and stops the
-//! accept path. In-flight requests finish and their replies flush; new
-//! work is refused with [`ErrorCode::ShuttingDown`]. Once the connection
-//! layer has dropped its queue handle the workers drain what remains and
-//! exit: accepted work is always answered.
+//! `Shutdown` (or [`Server::shutdown`]) stops the accept path. In-flight
+//! requests finish and their replies flush; new work is refused with
+//! `ShuttingDown`. Once the connection layer has dropped its queue handle
+//! the workers drain what remains and exit: accepted work is always
+//! answered.
 
-use crate::frontend::{start_async_frontend, ChspFrontend, EnqueueOutcome, Job};
-use crate::proto::{
-    Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot, DEFAULT_MAX_FRAME,
-};
+use crate::frontend::{bad_request, unknown_handle, Daemon, Frontend, Job, IDLE_TIMEOUT};
+use crate::proto::{Engine, ErrorCode, Reply, Request, SolverKind, StatsSnapshot};
 use crate::stats::{lock_unpoisoned, ServerStats};
 use chason::solvers::{conjugate_gradient, jacobi, CgOptions, SpmvBackend};
 use chason_core::cache::LruCache;
 use chason_core::plan::{matrix_fingerprint, PlanKey, SpmvPlan};
 use chason_core::schedule::SchedulerConfig;
-use chason_net::NetServer;
 use chason_sim::{AcceleratorConfig, ChasonEngine, PlanningEngine, SerpensEngine, SimError};
 use chason_sparse::{CooMatrix, CowCsr, MatrixDelta};
-use crossbeam::channel::{self, Receiver, Sender, TrySendError};
-use std::net::{SocketAddr, TcpListener};
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use crossbeam::channel::Receiver;
+use std::net::SocketAddr;
 use std::sync::{Arc, Mutex};
-use std::thread::{self, JoinHandle};
+use std::thread;
 use std::time::{Duration, Instant};
 
 /// Tunable knobs of a [`Server`].
@@ -59,8 +52,6 @@ pub struct ServeConfig {
     /// How long a connection may sit idle (no frame progress) before the
     /// server hangs up.
     pub idle_timeout: Duration,
-    /// Largest accepted frame payload.
-    pub max_frame_len: usize,
     /// Most same-matrix SpMV requests one worker dequeue may batch.
     pub batch_max: usize,
     /// Back-off hint carried by [`Reply::Busy`].
@@ -77,8 +68,7 @@ impl Default for ServeConfig {
             queue_capacity: 64,
             plan_cache_capacity: 64,
             matrix_cache_capacity: 32,
-            idle_timeout: Duration::from_secs(30),
-            max_frame_len: DEFAULT_MAX_FRAME,
+            idle_timeout: IDLE_TIMEOUT,
             batch_max: 8,
             retry_after_ms: 20,
             sched: SchedulerConfig::paper(),
@@ -119,28 +109,10 @@ struct Shared {
     /// generations from serving requests against the current one.
     plans: Mutex<LruCache<(Engine, u64, PlanKey), Arc<SpmvPlan>>>,
     stats: ServerStats,
-    shutdown: AtomicBool,
     config: ServeConfig,
 }
 
 impl Shared {
-    fn snapshot(&self) -> StatsSnapshot {
-        let plan_stats = lock_unpoisoned(&self.plans).stats();
-        let matrices = lock_unpoisoned(&self.matrices);
-        let m = matrices.stats();
-        drop(matrices);
-        self.stats.snapshot(plan_stats, m.len as u64, m.evictions)
-    }
-
-    fn exposition(&self) -> String {
-        let plan_stats = lock_unpoisoned(&self.plans).stats();
-        let matrices = lock_unpoisoned(&self.matrices);
-        let m = matrices.stats();
-        drop(matrices);
-        self.stats
-            .render_exposition(plan_stats, m.len as u64, m.evictions)
-    }
-
     fn matrix(&self, handle: u64) -> Option<ResidentMatrix> {
         lock_unpoisoned(&self.matrices).get(&handle).cloned()
     }
@@ -178,75 +150,77 @@ impl Shared {
     }
 }
 
-/// The serve daemon's [`ChspFrontend`]: inline replies from [`Shared`],
-/// the worker queue sender. Held only by the connection layer, so
-/// dropping that layer drops the last queue sender and lets the workers
-/// drain and exit.
-struct ServeFrontend {
-    shared: Arc<Shared>,
-    job_tx: Sender<Job>,
-}
+impl Daemon for Shared {
+    type Worker = ();
+    const NAME: &'static str = "server";
 
-impl ChspFrontend for ServeFrontend {
-    fn stats_reply(&self) -> Reply {
-        self.shared.stats.requests.stats.add(1);
-        Reply::Stats(self.shared.snapshot())
+    fn stats(&self) -> &ServerStats {
+        &self.stats
     }
 
-    fn metrics_reply(&self) -> Reply {
-        self.shared.stats.requests.metrics.add(1);
-        Reply::MetricsText {
-            text: self.shared.exposition(),
-        }
+    fn snapshot(&self) -> StatsSnapshot {
+        let plan_stats = lock_unpoisoned(&self.plans).stats();
+        let matrices = lock_unpoisoned(&self.matrices);
+        let m = matrices.stats();
+        drop(matrices);
+        self.stats.snapshot(plan_stats, m.len as u64, m.evictions)
     }
 
-    fn on_wire_shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+    fn exposition(&self) -> String {
+        let plan_stats = lock_unpoisoned(&self.plans).stats();
+        let matrices = lock_unpoisoned(&self.matrices);
+        let m = matrices.stats();
+        drop(matrices);
+        self.stats
+            .render_exposition(plan_stats, m.len as u64, m.evictions)
     }
 
-    fn is_draining(&self) -> bool {
-        self.shared.shutdown.load(Ordering::SeqCst)
-    }
+    fn worker(&self, _index: usize) {}
 
-    fn draining_message(&self) -> String {
-        "server is draining".to_string()
-    }
-
-    fn retry_after_ms(&self) -> u32 {
-        self.shared.config.retry_after_ms
-    }
-
-    fn enqueue(&self, job: Job) -> EnqueueOutcome {
-        match self.job_tx.try_send(job) {
-            Ok(()) => {
-                self.shared
-                    .stats
-                    .observe_queue_depth(self.job_tx.len() as u64);
-                EnqueueOutcome::Accepted
+    /// Same-matrix SpMV batching: one dequeue resolves the matrix and plan
+    /// once, then drains queued twins (front-of-queue only, so FIFO
+    /// fairness holds for everything else).
+    fn batch(&self, first: &Job, queue: &Receiver<Job>) -> Vec<Job> {
+        let Request::Spmv { handle, engine, .. } = first.request else {
+            return Vec::new();
+        };
+        // The batch key is (handle, engine, version): an Update racing on
+        // another worker bumps the version and closes the batch, so a
+        // batch never mixes requests against different matrix
+        // generations. (Front-of-queue-only draining already keeps a
+        // queued Update ordered before any Spmv sent after it.)
+        let version = self.matrix_version(handle);
+        let mut twins = Vec::new();
+        while twins.len() + 1 < self.config.batch_max {
+            let twin = queue.try_recv_if(|next| {
+                matches!(
+                    next.request,
+                    Request::Spmv {
+                        handle: h,
+                        engine: e,
+                        ..
+                    } if h == handle && e == engine
+                ) && self.matrix_version(handle) == version
+            });
+            match twin {
+                Some(next) => twins.push(next),
+                None => break,
             }
-            Err(TrySendError::Full(_)) => {
-                self.shared.stats.shed.add(1);
-                EnqueueOutcome::Shed
-            }
-            Err(TrySendError::Disconnected(_)) => EnqueueOutcome::Disconnected,
         }
+        if !twins.is_empty() {
+            self.stats.batched.add(twins.len() as u64);
+        }
+        twins
     }
 
-    fn idle_timeout(&self) -> Duration {
-        self.shared.config.idle_timeout
-    }
-
-    fn max_frame_len(&self) -> usize {
-        self.shared.config.max_frame_len
+    fn execute(&self, _worker: &mut (), request: Request) -> Reply {
+        execute(self, request)
     }
 }
 
 /// A running `chason serve` instance.
 pub struct Server {
-    local_addr: SocketAddr,
-    shared: Arc<Shared>,
-    net: NetServer,
-    workers: Vec<JoinHandle<()>>,
+    frontend: Frontend<Shared>,
 }
 
 impl Server {
@@ -257,9 +231,6 @@ impl Server {
     ///
     /// I/O failures binding the listener or starting the front end.
     pub fn start(config: ServeConfig) -> std::io::Result<Server> {
-        let listener = TcpListener::bind(&config.addr)?;
-        let local_addr = listener.local_addr()?;
-        let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
             chason: ChasonEngine::new(AcceleratorConfig {
                 sched: config.sched,
@@ -272,141 +243,39 @@ impl Server {
             matrices: Mutex::new(LruCache::new(config.matrix_cache_capacity)),
             plans: Mutex::new(LruCache::new(config.plan_cache_capacity)),
             stats: ServerStats::new(),
-            shutdown: AtomicBool::new(false),
             config: config.clone(),
         });
-        let (job_tx, job_rx) = channel::bounded::<Job>(config.queue_capacity);
-        let worker_handles = (0..workers)
-            .map(|i| {
-                let shared = Arc::clone(&shared);
-                let rx = job_rx.clone();
-                thread::Builder::new()
-                    .name(format!("chason-worker-{i}"))
-                    .spawn(move || worker_loop(&shared, &rx))
-            })
-            .collect::<std::io::Result<Vec<_>>>()?;
-        drop(job_rx);
-        let frontend = Arc::new(ServeFrontend {
-            shared: Arc::clone(&shared),
-            job_tx,
-        });
-        let net = start_async_frontend(listener, frontend, shared.stats.registry())?;
-        Ok(Server {
-            local_addr,
+        let frontend = Frontend::start(
+            &config.addr,
             shared,
-            net,
-            workers: worker_handles,
-        })
+            config.workers,
+            config.queue_capacity,
+            config.retry_after_ms,
+            config.idle_timeout,
+        )?;
+        Ok(Server { frontend })
     }
 
     /// The bound address (resolves ephemeral ports).
     pub fn local_addr(&self) -> SocketAddr {
-        self.local_addr
+        self.frontend.local_addr()
     }
 
     /// A point-in-time copy of the server's counters.
     pub fn stats(&self) -> StatsSnapshot {
-        self.shared.snapshot()
+        self.frontend.daemon().snapshot()
     }
 
     /// Initiates the same graceful drain a `Shutdown` request does.
     pub fn shutdown(&self) {
-        self.shared.shutdown.store(true, Ordering::SeqCst);
-        self.net.shutdown();
+        self.frontend.shutdown();
     }
 
     /// Blocks until the connection front end, every connection, and every
     /// worker have exited. Call [`shutdown`](Self::shutdown) first (or
     /// send a `Shutdown` request) or this blocks forever.
     pub fn join(self) {
-        self.net.join();
-        for worker in self.workers {
-            let _ = worker.join();
-        }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Workers
-// ---------------------------------------------------------------------------
-
-fn worker_loop(shared: &Arc<Shared>, rx: &Receiver<Job>) {
-    while let Ok(job) = rx.recv() {
-        // Same-matrix SpMV batching: one dequeue resolves the matrix and
-        // plan once, then drains queued twins (front-of-queue only, so
-        // FIFO fairness holds for everything else).
-        if let Request::Spmv { handle, engine, .. } = job.request {
-            // The batch key is (handle, engine, version): an Update racing
-            // on another worker bumps the version and closes the batch, so
-            // a batch never mixes requests against different matrix
-            // generations. (Front-of-queue-only draining already keeps a
-            // queued Update ordered before any Spmv sent after it.)
-            let version = shared.matrix_version(handle);
-            let mut batch = vec![job];
-            while batch.len() < shared.config.batch_max {
-                let twin = rx.try_recv_if(|next| {
-                    matches!(
-                        next.request,
-                        Request::Spmv {
-                            handle: h,
-                            engine: e,
-                            ..
-                        } if h == handle && e == engine
-                    ) && shared.matrix_version(handle) == version
-                });
-                match twin {
-                    Some(next) => batch.push(next),
-                    None => break,
-                }
-            }
-            if batch.len() > 1 {
-                shared.stats.batched.add(batch.len() as u64 - 1);
-            }
-            for job in batch {
-                run_job(shared, job);
-            }
-        } else {
-            run_job(shared, job);
-        }
-    }
-}
-
-fn run_job(shared: &Arc<Shared>, job: Job) {
-    shared.stats.requests.record_accepted(&job.request);
-    // Queue wait (enqueue to dequeue) and execution time feed separate
-    // histograms: summing them into one "service time" conflates queue
-    // pressure with execution cost and made service_p99 track load, not
-    // the kernels.
-    shared
-        .stats
-        .record_queue_wait_micros(job.received.elapsed().as_micros() as u64);
-    let started = Instant::now();
-    // The executors validate their inputs, but a panic in a worker must
-    // not take the pool down: surface it as an Internal error instead.
-    let reply =
-        catch_unwind(AssertUnwindSafe(|| execute(shared, job.request))).unwrap_or_else(|_| {
-            Reply::Error {
-                code: ErrorCode::Internal,
-                message: "request execution panicked".to_string(),
-            }
-        });
-    shared
-        .stats
-        .record_service_micros(started.elapsed().as_micros() as u64);
-    job.reply_tx.send(&reply); // receiver gone = client disconnected
-}
-
-fn bad_request(message: impl Into<String>) -> Reply {
-    Reply::Error {
-        code: ErrorCode::BadRequest,
-        message: message.into(),
-    }
-}
-
-fn unknown_handle(handle: u64) -> Reply {
-    Reply::Error {
-        code: ErrorCode::UnknownHandle,
-        message: format!("no resident matrix with handle {handle:#018x}; send LoadMatrix first"),
+        self.frontend.join();
     }
 }
 
@@ -515,7 +384,7 @@ fn execute_load(shared: &Shared, rows: u64, cols: u64, triplets: &[(u64, u64, f3
 
 fn execute_spmv(shared: &Shared, handle: u64, engine: Engine, x: &[f32]) -> Reply {
     let Some(resident) = shared.matrix(handle) else {
-        return unknown_handle(handle);
+        return unknown_handle("resident", handle);
     };
     if x.len() != resident.matrix.cols() {
         return bad_request(format!(
@@ -599,7 +468,7 @@ fn execute_solve(
     b: &[f32],
 ) -> Reply {
     let Some(resident) = shared.matrix(handle) else {
-        return unknown_handle(handle);
+        return unknown_handle("resident", handle);
     };
     let matrix = Arc::clone(&resident.matrix);
     // The solvers assert on these; validate ahead so a bad request cannot
@@ -688,7 +557,7 @@ fn execute_solve(
 
 fn execute_plan(shared: &Shared, handle: u64, engine: Engine) -> Reply {
     let Some(resident) = shared.matrix(handle) else {
-        return unknown_handle(handle);
+        return unknown_handle("resident", handle);
     };
     let plan = match engine {
         Engine::Cpu => return bad_request("the cpu backend has no schedule plan"),
@@ -766,7 +635,7 @@ fn execute_update(
     // before plans).
     let mut matrices = lock_unpoisoned(&shared.matrices);
     let Some(resident) = matrices.get(&handle).cloned() else {
-        return unknown_handle(handle);
+        return unknown_handle("resident", handle);
     };
     let mut delta = MatrixDelta::for_matrix(&resident.matrix);
     let push = |result: Result<(), chason_sparse::SparseError>| result.map_err(|e| e.to_string());

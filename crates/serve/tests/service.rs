@@ -195,15 +195,12 @@ fn malformed_frame_gets_a_typed_error_and_the_connection_survives() {
 
 #[test]
 fn oversized_frame_is_refused_and_the_connection_closed() {
-    let server = start(ServeConfig {
-        max_frame_len: 1024,
-        ..small_config()
-    });
+    let server = start(small_config());
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    // Declare a 1 MiB payload against a 1 KiB cap; the reply must arrive
-    // before any payload bytes are sent.
+    // Declare one byte over the protocol cap; the reply must arrive before
+    // any payload bytes are sent.
     stream
-        .write_all(&(1_048_576u32).to_le_bytes())
+        .write_all(&(DEFAULT_MAX_FRAME as u32 + 1).to_le_bytes())
         .expect("send header");
     let reply = read_frame_blocking(&mut stream, DEFAULT_MAX_FRAME).expect("read reply");
     match decode_reply(&reply).expect("decode") {
