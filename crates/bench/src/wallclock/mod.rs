@@ -1,8 +1,9 @@
 //! Wall-clock benchmark harness with `BENCH_<name>.json` regression
 //! tracking (DESIGN.md §11).
 //!
-//! The harness measures four hot paths — threaded SpMV kernels, engine
-//! planning, plan replay, and CHSP codec round-trips — and emits a
+//! The harness measures the hot paths — threaded SpMV kernels, engine
+//! planning, plan replay, CHSP codec round-trips, pipelined event-loop
+//! echo, and a routed end-to-end `Spmv` (see [`registry`]) — and emits a
 //! machine-readable report a committed baseline is compared against. The
 //! interactive criterion-shim benches under `benches/` remain for quick
 //! local exploration; this module is the reproducible, file-backed path

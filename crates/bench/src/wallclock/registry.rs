@@ -1,7 +1,8 @@
 //! The registered wall-clock benchmarks: threaded SpMV kernels, engine
 //! planning, plan replay, incremental delta re-planning, CHSP codec
-//! round-trips, and pipelined echo round-trips through the chason-net
-//! readiness loop.
+//! round-trips, pipelined echo round-trips through the chason-net
+//! readiness loop, and end-to-end `Spmv` round trips through an
+//! in-process `chason route` deployment.
 //!
 //! Every benchmark has a stable `group/case` id — the comparator matches
 //! baseline to current by id — and an input fingerprint, so a baseline
@@ -16,16 +17,19 @@ use chason_baselines::parallel::{spmv_dynamic, spmv_static};
 use chason_core::plan::{matrix_fingerprint, SpmvPlan};
 use chason_core::schedule::NzSlot;
 use chason_net::server::{FrameOutcome, NetConfig, NetServer, Service};
+use chason_router::{Router, RouterConfig};
+use chason_serve::client::Client;
 use chason_serve::proto::{
     decode_reply, decode_request, encode_reply, encode_request, Engine, Reply, Request,
 };
+use chason_serve::server::{ServeConfig, Server};
 use chason_sim::{ChasonEngine, SerpensEngine};
 use chason_sparse::generators::{power_law, uniform_random};
 use chason_sparse::{CooMatrix, CsrMatrix, MatrixDelta};
 use chason_telemetry::metrics::Registry;
 use criterion::black_box;
 use std::io::{Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::rc::Rc;
 
 /// One runnable benchmark: a stable id, its input fingerprint, the
@@ -111,6 +115,55 @@ fn chsp_vector_len(profile: &Profile) -> usize {
         65_536
     } else {
         4_096
+    }
+}
+
+/// A `chason route` over one-worker `chason serve` shards, all in this
+/// process on loopback; drained and joined on drop.
+struct RouterDeployment {
+    router: Option<Router>,
+    shards: Vec<Server>,
+}
+
+impl RouterDeployment {
+    /// Starts `shards` one-worker shards and a one-worker router over
+    /// them; returns the deployment and the router's address.
+    fn start(shards: usize) -> std::io::Result<(RouterDeployment, SocketAddr)> {
+        let mut deployment = RouterDeployment {
+            router: None,
+            shards: Vec::with_capacity(shards),
+        };
+        for _ in 0..shards {
+            deployment.shards.push(Server::start(ServeConfig {
+                workers: 1,
+                ..ServeConfig::default()
+            })?);
+        }
+        let router = Router::start(RouterConfig {
+            shards: deployment
+                .shards
+                .iter()
+                .map(|s| s.local_addr().to_string())
+                .collect(),
+            workers: 1,
+            ..RouterConfig::default()
+        })?;
+        let addr = router.local_addr();
+        deployment.router = Some(router);
+        Ok((deployment, addr))
+    }
+}
+
+impl Drop for RouterDeployment {
+    fn drop(&mut self) {
+        if let Some(router) = self.router.take() {
+            router.shutdown();
+            router.join();
+        }
+        for shard in self.shards.drain(..) {
+            shard.shutdown();
+            shard.join();
+        }
     }
 }
 
@@ -404,6 +457,41 @@ pub fn benchmarks(profile: &Profile, filter: Option<&str>) -> Vec<Benchmark> {
         }
     }
 
+    // (g) End to end through the router: one cpu-engine `Spmv` round trip
+    // from a client to a router over 3 shards, each holding a row block.
+    // Covers the router's scatter/gather, the CHSP codec and framing on
+    // both hops, and the shards' event loops and CSR kernels.
+    let router_id = "e2e/router3-spmv";
+    if matches(router_id, filter) {
+        let matrix = spmv_matrix(profile);
+        let fingerprint = matrix_fingerprint(&matrix);
+        #[allow(clippy::expect_used)] // bench setup; loopback never fails here
+        let (deployment, addr) = RouterDeployment::start(3).expect("start 3 shards and a router");
+        #[allow(clippy::expect_used)] // bench setup; loopback never fails here
+        let mut client = Client::connect(addr).expect("connect to the router");
+        #[allow(clippy::expect_used)] // bench setup; loopback never fails here
+        let (handle, _) = client.load_matrix(&matrix).expect("load the matrix");
+        let x: Vec<f32> = (0..matrix.cols())
+            .map(|i| (i as f32 * 0.23).cos())
+            .collect();
+        out.push(Benchmark {
+            id: router_id.to_string(),
+            fingerprint,
+            bytes_per_iter: 0,
+            plan_bytes: 0,
+            stream_bytes: 0,
+            routine: Box::new(move || {
+                // The closure owns the deployment: it drains with the bench.
+                let _keep_alive = &deployment;
+                #[allow(clippy::expect_used)] // loopback round trip on a loaded handle
+                let reply = client
+                    .spmv(handle, Engine::Cpu, x.clone())
+                    .expect("routed spmv");
+                black_box(reply);
+            }),
+        });
+    }
+
     out
 }
 
@@ -435,19 +523,21 @@ mod tests {
     use super::*;
 
     #[test]
-    fn registry_covers_all_six_groups() {
+    fn registry_covers_every_group() {
         let profile = Profile::smoke();
         let ids: Vec<String> = benchmarks(&profile, None)
             .iter()
             .map(|b| b.id.clone())
             .collect();
-        for prefix in ["spmv/", "plan/", "replay/", "replan/", "chsp/", "net/"] {
+        for prefix in [
+            "spmv/", "plan/", "replay/", "replan/", "chsp/", "net/", "e2e/",
+        ] {
             assert!(
                 ids.iter().any(|id| id.starts_with(prefix)),
                 "missing group {prefix} in {ids:?}"
             );
         }
-        assert_eq!(ids.len(), 17);
+        assert_eq!(ids.len(), 18);
     }
 
     #[test]

@@ -11,9 +11,10 @@
 //! instead of executing kernels, each worker owns one pooled
 //! [`ShardConn`] per backend (rebuilt after a
 //! panic, which may have left one mid-frame) and scatters sub-requests
-//! across them with scoped threads, so an N-shard fan-out costs one round
-//! trip, not N. A wire `Shutdown` is forwarded to every shard before
-//! `Done` when [`RouterConfig::shutdown_shards`] is set.
+//! across them from its own thread: it writes every shard's request
+//! before reading any reply, so an N-shard fan-out costs one round trip,
+//! not N, and spawns no thread. A wire `Shutdown` is forwarded to every
+//! shard before `Done` when [`RouterConfig::shutdown_shards`] is set.
 //!
 //! # Consistency
 //!
@@ -336,42 +337,46 @@ fn execute(shared: &Shared, conns: &mut [ShardConn], request: Request) -> Reply 
 // Scatter-gather plumbing
 // ---------------------------------------------------------------------------
 
-/// Sends one request to each shard with a `Some` slot, concurrently on
-/// scoped threads. Slot `k` of the result mirrors slot `k` of the input;
-/// a panicked request thread is reported as that shard being unavailable.
+/// Sends one request to each shard with a `Some` slot and gathers the
+/// replies, all on the calling worker's thread. Slot `k` of the result
+/// mirrors slot `k` of the input.
+///
+/// Two phases over the worker's own pooled conns: first connect where
+/// needed and write every request, then read every reply in shard order.
+/// The shards compute concurrently while the worker waits on the first
+/// reply, so an N-shard fan-out costs about one round trip, not N, and
+/// spawns no thread. It cannot deadlock: a shard's event loop keeps
+/// reading a connection until it holds `max_inflight` unanswered requests
+/// or `write_buffer_limit` unsent reply bytes, and a conn never has more
+/// than one request outstanding, so each blocking write completes without
+/// any reply being read. Every written request is finished (its reply
+/// read, or its connection dropped) before this returns, so no stale
+/// reply reaches the next request on a pooled socket.
 fn scatter(
     conns: &mut [ShardConn],
     requests: Vec<Option<Request>>,
     resend_safe: bool,
 ) -> Vec<Option<Result<Reply, ShardError>>> {
     debug_assert_eq!(conns.len(), requests.len());
-    thread::scope(|scope| {
-        let handles: Vec<_> = conns
-            .iter_mut()
-            .zip(requests)
-            .map(|(conn, request)| {
-                request.map(|request| {
-                    let index = conn.index();
-                    (index, scope.spawn(move || conn.call(&request, resend_safe)))
-                })
+    let sent: Vec<_> = conns
+        .iter_mut()
+        .zip(requests)
+        .map(|(conn, request)| {
+            request.map(|request| {
+                let begun = conn.begin(&request, resend_safe);
+                (request, begun)
             })
-            .collect();
-        handles
-            .into_iter()
-            .map(|slot| {
-                slot.map(|(index, handle)| {
-                    handle.join().unwrap_or_else(|_| {
-                        Err(ShardError {
-                            shard: index,
-                            kind: ShardErrorKind::Unavailable(
-                                "scatter thread panicked".to_string(),
-                            ),
-                        })
-                    })
-                })
+        })
+        .collect();
+    conns
+        .iter_mut()
+        .zip(sent)
+        .map(|(conn, slot)| {
+            slot.map(|(request, begun)| {
+                begun.and_then(|in_flight| conn.finish(&request, in_flight))
             })
-            .collect()
-    })
+        })
+        .collect()
 }
 
 /// Splits scatter results into indexed successes and failures.
@@ -1037,6 +1042,339 @@ fn health_loop(shared: &Shared, drain: &LoopHandle) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use chason_serve::proto::{
+        decode_request, encode_reply, encode_request, read_frame_blocking, write_frame,
+        DEFAULT_MAX_FRAME,
+    };
+    use std::net::{TcpListener, TcpStream};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Condvar;
+
+    /// An in-test CHSP shard on loopback. It serves one connection at a
+    /// time and hands each request, with its index among every request
+    /// this shard has received, to `act`, which returns the reply or
+    /// `None` to drop the connection unanswered. A `Shutdown` request
+    /// (sent on drop) stops it.
+    struct FakeShard {
+        addr: String,
+        received: Arc<AtomicUsize>,
+        thread: Option<JoinHandle<()>>,
+    }
+
+    impl FakeShard {
+        fn start(
+            mut act: impl FnMut(usize, &Request) -> Option<Reply> + Send + 'static,
+        ) -> FakeShard {
+            let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+            let addr = listener.local_addr().unwrap().to_string();
+            let received = Arc::new(AtomicUsize::new(0));
+            let count = Arc::clone(&received);
+            let thread = thread::spawn(move || {
+                for stream in listener.incoming() {
+                    let mut stream = stream.unwrap();
+                    while let Ok(payload) = read_frame_blocking(&mut stream, DEFAULT_MAX_FRAME) {
+                        let request = decode_request(&payload).unwrap();
+                        if matches!(request, Request::Shutdown) {
+                            return;
+                        }
+                        let Some(reply) = act(count.fetch_add(1, Ordering::SeqCst), &request)
+                        else {
+                            break;
+                        };
+                        if write_frame(&mut stream, &encode_reply(&reply)).is_err() {
+                            break;
+                        }
+                    }
+                }
+            });
+            FakeShard {
+                addr,
+                received,
+                thread: Some(thread),
+            }
+        }
+
+        fn received(&self) -> usize {
+            self.received.load(Ordering::SeqCst)
+        }
+    }
+
+    impl Drop for FakeShard {
+        fn drop(&mut self) {
+            if let Ok(mut stream) = TcpStream::connect(&self.addr) {
+                let _ = write_frame(&mut stream, &encode_request(&Request::Shutdown));
+            }
+            if let Some(thread) = self.thread.take() {
+                let _ = thread.join();
+            }
+        }
+    }
+
+    /// The well-behaved answer of shard `shard`: a `Spmv` echoes `x` and
+    /// tags the reply with the shard index; an `Update` is acknowledged.
+    fn answer(shard: usize, request: &Request) -> Reply {
+        match request {
+            Request::Spmv { x, .. } => Reply::Vector {
+                y: x.clone(),
+                service_micros: 0,
+                simulated_nanos: shard as u64,
+            },
+            Request::Update { .. } => Reply::Updated {
+                version: 1,
+                nnz: 0,
+                plans_spliced: 0,
+                windows_replanned: 0,
+                windows_total: 0,
+            },
+            other => panic!("fake shard got an unexpected {other:?}"),
+        }
+    }
+
+    /// One conn per fake, counting into `stats`; fast `Busy` back-off.
+    fn conns_to(fakes: &[FakeShard], stats: &RouterStats) -> (Vec<ShardConn>, Arc<HealthBoard>) {
+        let board = Arc::new(HealthBoard::new(fakes.len()));
+        let retry = RetryPolicy {
+            max_attempts: 3,
+            base_delay_ms: 1,
+            max_delay_ms: 2,
+            seed: 7,
+        };
+        let conns = fakes
+            .iter()
+            .enumerate()
+            .map(|(k, fake)| {
+                ShardConn::new(
+                    k,
+                    fake.addr.clone(),
+                    retry,
+                    k as u64,
+                    Arc::clone(&board),
+                    Arc::clone(&stats.shard_requests[k]),
+                    Arc::clone(&stats.shard_retries),
+                    Arc::clone(&stats.shard_reconnects),
+                )
+            })
+            .collect();
+        (conns, board)
+    }
+
+    fn spmv_to_all(shards: usize, round: f32) -> Vec<Option<Request>> {
+        (0..shards)
+            .map(|_| {
+                Some(Request::Spmv {
+                    handle: 1,
+                    engine: Engine::Cpu,
+                    x: vec![round],
+                })
+            })
+            .collect()
+    }
+
+    /// Whether slot `k` holds shard `k`'s answer to the `round` scatter.
+    fn answered(slot: &Option<Result<Reply, ShardError>>, k: usize, round: f32) -> bool {
+        matches!(
+            slot,
+            Some(Ok(Reply::Vector { y, simulated_nanos, .. }))
+                if y == &[round] && *simulated_nanos == k as u64
+        )
+    }
+
+    fn unavailable(slot: &Option<Result<Reply, ShardError>>, k: usize) -> bool {
+        matches!(
+            slot,
+            Some(Err(ShardError { shard, kind: ShardErrorKind::Unavailable(_) })) if *shard == k
+        )
+    }
+
+    /// A barrier whose wait gives up after a timeout.
+    struct Rendezvous {
+        arrived: Mutex<usize>,
+        all_here: Condvar,
+        parties: usize,
+    }
+
+    impl Rendezvous {
+        /// Whether every party arrived within `timeout`.
+        fn wait(&self, timeout: Duration) -> bool {
+            let mut arrived = self.arrived.lock().unwrap();
+            *arrived += 1;
+            self.all_here.notify_all();
+            let timed_out = self
+                .all_here
+                .wait_timeout_while(arrived, timeout, |n| *n < self.parties)
+                .unwrap()
+                .1
+                .timed_out();
+            !timed_out
+        }
+    }
+
+    #[test]
+    fn scatter_has_every_shard_working_before_it_reads_a_reply() {
+        // Each fake answers only once all three hold a request, so a
+        // scatter that waits on one shard before writing to the next
+        // gets three "did not overlap" errors instead.
+        let meet = Arc::new(Rendezvous {
+            arrived: Mutex::new(0),
+            all_here: Condvar::new(),
+            parties: 3,
+        });
+        let fakes: Vec<FakeShard> = (0..3)
+            .map(|k| {
+                let meet = Arc::clone(&meet);
+                FakeShard::start(move |_, request| {
+                    if meet.wait(Duration::from_secs(5)) {
+                        Some(answer(k, request))
+                    } else {
+                        Some(Reply::Error {
+                            code: ErrorCode::Internal,
+                            message: "requests did not overlap".to_string(),
+                        })
+                    }
+                })
+            })
+            .collect();
+        let stats = RouterStats::new(3);
+        let (mut conns, _) = conns_to(&fakes, &stats);
+        let results = scatter(&mut conns, spmv_to_all(3, 1.0), true);
+        for (k, slot) in results.iter().enumerate() {
+            assert!(answered(slot, k, 1.0), "shard {k}: {slot:?}");
+        }
+    }
+
+    #[test]
+    fn a_typed_error_leaves_no_stale_reply_behind() {
+        // Shard 0's error is the first reply read; the other replies must
+        // still be consumed, or the next scatter would read them.
+        let fakes: Vec<FakeShard> = (0..3)
+            .map(|k| {
+                FakeShard::start(move |n, request| {
+                    if k == 0 && n == 0 {
+                        Some(Reply::Error {
+                            code: ErrorCode::UnknownHandle,
+                            message: "no such matrix".to_string(),
+                        })
+                    } else {
+                        Some(answer(k, request))
+                    }
+                })
+            })
+            .collect();
+        let stats = RouterStats::new(3);
+        let (mut conns, board) = conns_to(&fakes, &stats);
+        let first = scatter(&mut conns, spmv_to_all(3, 1.0), true);
+        assert!(
+            matches!(
+                &first[0],
+                Some(Err(ShardError {
+                    shard: 0,
+                    kind: ShardErrorKind::Server {
+                        code: ErrorCode::UnknownHandle,
+                        ..
+                    }
+                }))
+            ),
+            "{:?}",
+            first[0]
+        );
+        assert!(answered(&first[1], 1, 1.0) && answered(&first[2], 2, 1.0));
+        let second = scatter(&mut conns, spmv_to_all(3, 2.0), true);
+        for (k, slot) in second.iter().enumerate() {
+            assert!(answered(slot, k, 2.0), "shard {k}: {slot:?}");
+        }
+        // A typed error is an answer from a live shard on a healthy
+        // connection: nothing reconnected, every shard still up.
+        assert_eq!(stats.shard_reconnects.get(), 0);
+        assert_eq!(board.up_count(), 3);
+    }
+
+    #[test]
+    fn busy_is_retried_on_that_shard_alone() {
+        let fakes: Vec<FakeShard> = (0..3)
+            .map(|k| {
+                FakeShard::start(move |n, request| {
+                    if k == 1 && n == 0 {
+                        Some(Reply::Busy { retry_after_ms: 1 })
+                    } else {
+                        Some(answer(k, request))
+                    }
+                })
+            })
+            .collect();
+        let stats = RouterStats::new(3);
+        let (mut conns, _) = conns_to(&fakes, &stats);
+        let results = scatter(&mut conns, spmv_to_all(3, 1.0), true);
+        for (k, slot) in results.iter().enumerate() {
+            assert!(answered(slot, k, 1.0), "shard {k}: {slot:?}");
+        }
+        assert_eq!(stats.shard_retries.get(), 1);
+        let received: Vec<usize> = fakes.iter().map(FakeShard::received).collect();
+        assert_eq!(received, [1, 2, 1]);
+        let sent: Vec<u64> = stats.shard_requests.iter().map(|c| c.get()).collect();
+        assert_eq!(sent, [1, 2, 1]);
+    }
+
+    #[test]
+    fn a_shard_dying_between_phases_fails_only_that_shard() {
+        // Shard 1 drops the connection after reading its 1st, 3rd and 5th
+        // request; it answers every other one.
+        let fakes: Vec<FakeShard> = (0..3)
+            .map(|k| {
+                FakeShard::start(move |n, request| {
+                    if k == 1 && n % 2 == 0 {
+                        None
+                    } else {
+                        Some(answer(k, request))
+                    }
+                })
+            })
+            .collect();
+        let stats = RouterStats::new(3);
+        let (mut conns, board) = conns_to(&fakes, &stats);
+
+        // A fresh connection is not stale: no resend, shard 1 alone fails.
+        let results = scatter(&mut conns, spmv_to_all(3, 1.0), true);
+        assert!(unavailable(&results[1], 1), "{:?}", results[1]);
+        assert!(answered(&results[0], 0, 1.0) && answered(&results[2], 2, 1.0));
+        assert_eq!(stats.shard_reconnects.get(), 0);
+        assert!(!board.is_up(1));
+
+        // The next scatter reconnects and pools the connection again.
+        let results = scatter(&mut conns, spmv_to_all(3, 2.0), true);
+        for (k, slot) in results.iter().enumerate() {
+            assert!(answered(slot, k, 2.0), "shard {k}: {slot:?}");
+        }
+        assert!(board.is_up(1));
+
+        // Lost on a pooled connection, a resend-safe request reconnects
+        // and is resent exactly once.
+        let results = scatter(&mut conns, spmv_to_all(3, 3.0), true);
+        for (k, slot) in results.iter().enumerate() {
+            assert!(answered(slot, k, 3.0), "shard {k}: {slot:?}");
+        }
+        assert_eq!(stats.shard_reconnects.get(), 1);
+        assert_eq!(fakes[1].received(), 4);
+
+        // An Update is never resent, even from a pooled connection.
+        let updates = (0..3)
+            .map(|_| {
+                Some(Request::Update {
+                    handle: 1,
+                    inserts: vec![(0, 0, 1.0)],
+                    revalues: Vec::new(),
+                    deletes: Vec::new(),
+                })
+            })
+            .collect();
+        let results = scatter(&mut conns, updates, false);
+        assert!(unavailable(&results[1], 1), "{:?}", results[1]);
+        assert!(matches!(results[0], Some(Ok(Reply::Updated { .. }))));
+        assert!(matches!(results[2], Some(Ok(Reply::Updated { .. }))));
+        assert_eq!(stats.shard_reconnects.get(), 1);
+        assert_eq!(fakes[1].received(), 5);
+        let received: Vec<usize> = fakes.iter().map(FakeShard::received).collect();
+        assert_eq!(received, [4, 5, 4]);
+    }
 
     #[test]
     fn router_refuses_empty_shard_list() {

@@ -2,6 +2,10 @@
 //! reconnect-on-failure, bounded `Busy` retry, and a shared liveness
 //! board.
 //!
+//! A request goes out in two halves, `ShardConn::begin` (write) and
+//! `ShardConn::finish` (read), so one thread can have every shard
+//! working at once; [`ShardConn::call`] is the two back to back.
+//!
 //! Each router worker owns one [`ShardConn`] per backend, so scatter
 //! traffic never contends on a shared connection lock; the only shared
 //! state is the [`HealthBoard`] of atomic liveness flags, written both by
@@ -166,16 +170,6 @@ impl ShardConn {
         }
     }
 
-    /// The shard index this conn serves.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// The backend address.
-    pub fn addr(&self) -> &str {
-        &self.addr
-    }
-
     fn error(&self, kind: ShardErrorKind) -> ShardError {
         ShardError {
             shard: self.index,
@@ -183,7 +177,8 @@ impl ShardConn {
         }
     }
 
-    /// Sends one request, pooling the connection across calls.
+    /// Sends one request and reads its reply, pooling the connection
+    /// across calls: `begin` then `finish`.
     ///
     /// * `Busy` replies are retried up to the policy's attempt budget,
     ///   sleeping the maximum of the shard's hint and the jittered
@@ -201,14 +196,104 @@ impl ShardConn {
     ///
     /// [`ShardError`] attributing the failure to this shard.
     pub fn call(&mut self, request: &Request, resend_safe: bool) -> Result<Reply, ShardError> {
-        let mut busy_attempts = 0u32;
-        let mut resends_left = u32::from(resend_safe);
+        let in_flight = self.begin(request, resend_safe)?;
+        self.finish(request, in_flight)
+    }
+
+    /// The send half of [`call`](Self::call): connects if no connection
+    /// is pooled and writes `request` without waiting for the reply, so a
+    /// caller can start every shard before reading any. A write that
+    /// fails on a pooled connection follows `call`'s resend rule.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError`] when the shard cannot be reached.
+    pub(crate) fn begin(
+        &mut self,
+        request: &Request,
+        resend_safe: bool,
+    ) -> Result<InFlight, ShardError> {
+        self.send(request, 0, u32::from(resend_safe))
+    }
+
+    /// The receive half of [`call`](Self::call): reads the reply to the
+    /// request `begin` wrote, retrying `Busy` and resending after a lost
+    /// pooled connection as `call` describes. `request` must be the one
+    /// passed to `begin`. The connection returns to the pool only after a
+    /// complete reply.
+    ///
+    /// # Errors
+    ///
+    /// [`ShardError`] attributing the failure to this shard.
+    pub(crate) fn finish(
+        &mut self,
+        request: &Request,
+        mut in_flight: InFlight,
+    ) -> Result<Reply, ShardError> {
+        loop {
+            let InFlight {
+                mut client,
+                pooled,
+                mut busy_attempts,
+                mut resends_left,
+            } = in_flight;
+            in_flight = match client.recv() {
+                Ok(Reply::Busy { retry_after_ms }) => {
+                    self.client = Some(client);
+                    busy_attempts += 1;
+                    if busy_attempts >= self.retry.max_attempts.max(1) {
+                        return Err(self.error(ShardErrorKind::Busy { retry_after_ms }));
+                    }
+                    self.retries.add(1);
+                    let sleep_ms =
+                        self.retry
+                            .backoff_ms(busy_attempts - 1, retry_after_ms, &mut self.jitter);
+                    std::thread::sleep(Duration::from_millis(sleep_ms));
+                    self.send(request, busy_attempts, resends_left)?
+                }
+                Ok(Reply::Error {
+                    code: ErrorCode::ShuttingDown,
+                    message,
+                }) => {
+                    self.health.set(self.index, false);
+                    return Err(self.error(ShardErrorKind::Unavailable(format!(
+                        "shard is draining: {message}"
+                    ))));
+                }
+                Ok(Reply::Error { code, message }) => {
+                    // The shard is alive and answered; the request failed.
+                    self.client = Some(client);
+                    self.health.set(self.index, true);
+                    return Err(self.error(ShardErrorKind::Server { code, message }));
+                }
+                Ok(reply) => {
+                    self.client = Some(client);
+                    self.health.set(self.index, true);
+                    return Ok(reply);
+                }
+                Err(err) => {
+                    drop(client);
+                    self.lost(err, pooled, &mut resends_left)?;
+                    self.send(request, busy_attempts, resends_left)?
+                }
+            };
+        }
+    }
+
+    /// Writes `request` on the pooled connection (or a fresh one),
+    /// resending once on a lost pooled connection if the budget allows.
+    fn send(
+        &mut self,
+        request: &Request,
+        busy_attempts: u32,
+        mut resends_left: u32,
+    ) -> Result<InFlight, ShardError> {
         loop {
             let pooled = self.client.is_some();
-            let client = match self.client.as_mut() {
+            let mut client = match self.client.take() {
                 Some(client) => client,
                 None => match Client::connect(&self.addr) {
-                    Ok(client) => self.client.insert(client),
+                    Ok(client) => client,
                     Err(e) => {
                         self.health.set(self.index, false);
                         return Err(self.error(ShardErrorKind::Unavailable(format!(
@@ -219,59 +304,60 @@ impl ShardConn {
                 },
             };
             self.requests.add(1);
-            let result = client.request(request);
-            match result {
-                Ok(Reply::Busy { retry_after_ms }) => {
-                    busy_attempts += 1;
-                    if busy_attempts >= self.retry.max_attempts.max(1) {
-                        return Err(self.error(ShardErrorKind::Busy { retry_after_ms }));
-                    }
-                    self.retries.add(1);
-                    let sleep_ms =
-                        self.retry
-                            .backoff_ms(busy_attempts - 1, retry_after_ms, &mut self.jitter);
-                    std::thread::sleep(Duration::from_millis(sleep_ms));
+            match client.send(request) {
+                Ok(()) => {
+                    return Ok(InFlight {
+                        client,
+                        pooled,
+                        busy_attempts,
+                        resends_left,
+                    })
                 }
-                Ok(Reply::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message,
-                }) => {
-                    self.client = None;
-                    self.health.set(self.index, false);
-                    return Err(self.error(ShardErrorKind::Unavailable(format!(
-                        "shard is draining: {message}"
-                    ))));
-                }
-                Ok(Reply::Error { code, message }) => {
-                    // The shard is alive and answered; the request failed.
-                    self.health.set(self.index, true);
-                    return Err(self.error(ShardErrorKind::Server { code, message }));
-                }
-                Ok(reply) => {
-                    self.health.set(self.index, true);
-                    return Ok(reply);
-                }
-                Err(ClientError::Io(e)) => {
-                    self.client = None;
-                    if pooled && resends_left > 0 {
-                        // A pooled connection may simply have gone stale
-                        // (shard restarted, idle timeout): reconnect and
-                        // resend once.
-                        resends_left -= 1;
-                        self.reconnects.add(1);
-                        continue;
-                    }
-                    self.health.set(self.index, false);
-                    return Err(self.error(ShardErrorKind::Unavailable(e.to_string())));
-                }
-                Err(other) => {
-                    self.client = None;
-                    self.health.set(self.index, false);
-                    return Err(self.error(ShardErrorKind::Unavailable(other.to_string())));
+                Err(err) => {
+                    drop(client);
+                    self.lost(err, pooled, &mut resends_left)?;
                 }
             }
         }
     }
+
+    /// Handles a connection that failed mid-request (already dropped):
+    /// `Ok` when the request may be resent on a fresh connection — the
+    /// failure was an I/O error on a pooled (possibly stale: shard
+    /// restarted, idle timeout) connection and a resend is left —
+    /// otherwise the shard is marked down and the error returned.
+    fn lost(
+        &mut self,
+        err: ClientError,
+        pooled: bool,
+        resends_left: &mut u32,
+    ) -> Result<(), ShardError> {
+        let detail = match err {
+            ClientError::Io(_) if pooled && *resends_left > 0 => {
+                *resends_left -= 1;
+                self.reconnects.add(1);
+                return Ok(());
+            }
+            ClientError::Io(e) => e.to_string(),
+            other => other.to_string(),
+        };
+        self.health.set(self.index, false);
+        Err(self.error(ShardErrorKind::Unavailable(detail)))
+    }
+}
+
+/// A request `ShardConn::begin` wrote whose reply `ShardConn::finish`
+/// has yet to read. It owns the connection the
+/// reply will arrive on: dropping it unfinished closes that connection,
+/// so a stale reply can never answer a later request.
+#[derive(Debug)]
+#[must_use = "read the reply with `ShardConn::finish`"]
+pub(crate) struct InFlight {
+    client: Client,
+    /// Whether `client` came from the pool (and may have gone stale).
+    pooled: bool,
+    busy_attempts: u32,
+    resends_left: u32,
 }
 
 #[cfg(test)]

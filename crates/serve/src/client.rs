@@ -231,7 +231,29 @@ impl Client {
     ///
     /// Connection and decode failures.
     pub fn request(&mut self, request: &Request) -> Result<Reply, ClientError> {
-        write_frame(&mut self.stream, &encode_request(request))?;
+        self.send(request)?;
+        self.recv()
+    }
+
+    /// Writes one request frame without waiting for its reply. Replies
+    /// come back in send order, one [`recv`](Self::recv) each; a reply
+    /// left unread would be taken for the answer to a later request, so
+    /// read it or drop the connection.
+    ///
+    /// # Errors
+    ///
+    /// Connection failures.
+    pub fn send(&mut self, request: &Request) -> Result<(), ClientError> {
+        Ok(write_frame(&mut self.stream, &encode_request(request))?)
+    }
+
+    /// Reads and decodes the reply to the oldest unanswered
+    /// [`send`](Self::send).
+    ///
+    /// # Errors
+    ///
+    /// Connection and decode failures.
+    pub fn recv(&mut self) -> Result<Reply, ClientError> {
         let payload = read_frame_blocking(&mut self.stream, self.max_frame)?;
         Ok(decode_reply(&payload)?)
     }

@@ -15,7 +15,7 @@
 
 use chason_sparse::CooMatrix;
 use std::fmt;
-use std::io::{self, Read, Write};
+use std::io::{self, IoSlice, Read, Write};
 
 /// Default ceiling on a frame's payload length (64 MiB) — enough for a
 /// ~3M-non-zero matrix upload, small enough that a hostile length prefix
@@ -707,10 +707,14 @@ impl<'a> Cursor<'a> {
                 self.remaining()
             )));
         }
+        // The length check above makes `n * 4` exactly the remaining bytes.
+        let bytes = self.take(n * 4)?;
         let mut v = Vec::with_capacity(n.min(PREALLOC_LIMIT));
-        for _ in 0..n {
-            v.push(self.f32()?);
-        }
+        v.extend(
+            bytes
+                .chunks_exact(4)
+                .map(|b| f32::from_le_bytes([b[0], b[1], b[2], b[3]])),
+        );
         Ok(v)
     }
 
@@ -735,14 +739,50 @@ fn put_u64(buf: &mut Vec<u8>, v: u64) {
 
 fn put_f32_vec(buf: &mut Vec<u8>, v: &[f32]) {
     put_u64(buf, v.len() as u64);
-    for &x in v {
-        put_u32(buf, x.to_bits());
+    let start = buf.len();
+    buf.resize(start + v.len() * 4, 0);
+    for (dst, x) in buf[start..].chunks_exact_mut(4).zip(v) {
+        dst.copy_from_slice(&x.to_le_bytes());
+    }
+}
+
+/// Encoded size of a request payload, so the encoder allocates once.
+fn request_len(req: &Request) -> usize {
+    match req {
+        Request::LoadMatrix { triplets, .. } => 25 + triplets.len() * 20,
+        Request::Spmv { x, .. } => 18 + x.len() * 4,
+        Request::Solve { b, .. } => 31 + b.len() * 4,
+        Request::Plan { .. } => 10,
+        Request::Stats | Request::Metrics | Request::Shutdown => 1,
+        Request::Sleep { .. } => 5,
+        Request::Update {
+            inserts,
+            revalues,
+            deletes,
+            ..
+        } => 33 + (inserts.len() + revalues.len()) * 20 + deletes.len() * 16,
+    }
+}
+
+/// Encoded size of a reply payload, so the encoder allocates once.
+fn reply_len(reply: &Reply) -> usize {
+    match reply {
+        Reply::Loaded { .. } => 42,
+        Reply::Vector { y, .. } => 25 + y.len() * 4,
+        Reply::Solved { solution, .. } => 42 + solution.len() * 4,
+        Reply::PlanArtifact { bytes } => 9 + bytes.len(),
+        Reply::Stats(_) => 1 + StatsSnapshot::FIELDS * 8,
+        Reply::MetricsText { text } => 5 + text.len(),
+        Reply::Done => 1,
+        Reply::Busy { .. } => 5,
+        Reply::Error { message, .. } => 6 + message.len(),
+        Reply::Updated { .. } => 37,
     }
 }
 
 /// Encodes a request payload (framing is [`write_frame`]'s job).
 pub fn encode_request(req: &Request) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(request_len(req));
     match req {
         Request::LoadMatrix {
             rows,
@@ -815,6 +855,7 @@ pub fn encode_request(req: &Request) -> Vec<u8> {
             }
         }
     }
+    debug_assert_eq!(buf.len(), request_len(req));
     buf
 }
 
@@ -941,7 +982,7 @@ pub fn decode_request(payload: &[u8]) -> Result<Request, ProtoError> {
 
 /// Encodes a reply payload (framing is [`write_frame`]'s job).
 pub fn encode_reply(reply: &Reply) -> Vec<u8> {
-    let mut buf = Vec::new();
+    let mut buf = Vec::with_capacity(reply_len(reply));
     match reply {
         Reply::Loaded {
             handle,
@@ -1029,6 +1070,7 @@ pub fn encode_reply(reply: &Reply) -> Vec<u8> {
             put_u64(&mut buf, *windows_total);
         }
     }
+    debug_assert_eq!(buf.len(), reply_len(reply));
     buf
 }
 
@@ -1210,8 +1252,19 @@ pub fn write_frame_capped<W: Write>(
             cap: cap as u64,
         });
     }
-    writer.write_all(&(payload.len() as u32).to_le_bytes())?;
-    writer.write_all(payload)?;
+    // Header and payload leave in one vectored write (one syscall and, with
+    // `TCP_NODELAY`, one segment), looping only on a short write.
+    let header = (payload.len() as u32).to_le_bytes();
+    let mut slices = [IoSlice::new(&header), IoSlice::new(payload)];
+    let mut bufs: &mut [IoSlice<'_>] = &mut slices;
+    while !bufs.is_empty() {
+        match writer.write_vectored(bufs) {
+            Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+            Ok(n) => IoSlice::advance_slices(&mut bufs, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e.into()),
+        }
+    }
     writer.flush()?;
     Ok(())
 }
@@ -1289,6 +1342,71 @@ mod tests {
         let mut buf = Vec::new();
         write_frame_capped(&mut buf, b"ok", usize::MAX).unwrap();
         assert_eq!(read_frame_blocking(&mut buf.as_slice(), 16).unwrap(), b"ok");
+    }
+
+    /// Counts write calls; accepts at most `chunk` bytes per call.
+    struct CountingWriter {
+        bytes: Vec<u8>,
+        calls: usize,
+        chunk: usize,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.write_vectored(&[IoSlice::new(buf)])
+        }
+
+        fn write_vectored(&mut self, bufs: &[IoSlice<'_>]) -> io::Result<usize> {
+            self.calls += 1;
+            let mut taken = 0;
+            for buf in bufs {
+                let n = buf.len().min(self.chunk - taken);
+                self.bytes.extend_from_slice(&buf[..n]);
+                taken += n;
+            }
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write_unless_the_writer_takes_less() {
+        let payload = encode_request(&Request::Spmv {
+            handle: 9,
+            engine: Engine::Cpu,
+            x: vec![1.5; 100],
+        });
+        let mut expected = (payload.len() as u32).to_le_bytes().to_vec();
+        expected.extend_from_slice(&payload);
+        let mut whole = CountingWriter {
+            bytes: Vec::new(),
+            calls: 0,
+            chunk: usize::MAX,
+        };
+        write_frame(&mut whole, &payload).unwrap();
+        assert_eq!(whole.calls, 1, "header and payload must share one write");
+        assert_eq!(whole.bytes, expected);
+        // Short writes (3 bytes a call, splitting the header) still put
+        // the same bytes on the wire.
+        let mut trickle = CountingWriter {
+            bytes: Vec::new(),
+            calls: 0,
+            chunk: 3,
+        };
+        write_frame(&mut trickle, &payload).unwrap();
+        assert_eq!(trickle.bytes, expected);
+        assert_eq!(trickle.calls, expected.len().div_ceil(3));
+        // An empty payload is a bare header.
+        let mut empty = CountingWriter {
+            bytes: Vec::new(),
+            calls: 0,
+            chunk: usize::MAX,
+        };
+        write_frame(&mut empty, &[]).unwrap();
+        assert_eq!((empty.calls, empty.bytes), (1, vec![0u8; 4]));
     }
 
     #[test]
